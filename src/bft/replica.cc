@@ -1,6 +1,7 @@
 #include "bft/replica.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "crypto/sha256.h"
 
@@ -430,6 +431,17 @@ void Replica::on_message(NodeId /*from*/, BytesView msg) {
 // ---------------------------------------------------------------------------
 // Normal case
 
+std::size_t Replica::DigestHexHash::operator()(const Bytes& digest) const {
+  static constexpr char kHex[] = "0123456789abcdef";
+  char hex[2 * crypto::kSha256DigestSize];
+  const std::size_t n = std::min(digest.size(), crypto::kSha256DigestSize);
+  for (std::size_t i = 0; i < n; ++i) {
+    hex[2 * i] = kHex[digest[i] >> 4];
+    hex[2 * i + 1] = kHex[digest[i] & 0x0f];
+  }
+  return std::hash<std::string_view>{}(std::string_view(hex, 2 * n));
+}
+
 void Replica::handle_client_request(NodeId from, BytesView body) {
   auto msg = ClientRequestMsg::parse(body);
   if (!msg) return;
@@ -471,19 +483,22 @@ void Replica::admit_request(NodeId client, ClientRequestMsg msg,
   req.client_seq = msg.client_seq;
   req.payload = std::move(msg.payload);
   charge(Op::kHash, req.payload.size());
-  const std::string key = hex_encode(req.digest());
+  Bytes key = req.digest();
   if (pending_requests_.contains(key)) return;  // duplicate in flight
 
+  // Only the primary also queues the request for a batch; a backup's
+  // pending entry can take the payload.
+  const bool primary = is_primary();
   PendingRequest pending;
   pending.client = client;
   pending.client_seq = req.client_seq;
-  pending.payload = req.payload;
+  pending.payload = primary ? req.payload : std::move(req.payload);
   pending.first_seen = now();
-  pending_requests_.emplace(key, std::move(pending));
+  pending_requests_.emplace(std::move(key), std::move(pending));
   tracer_.record(client, req.client_seq, obs::Phase::kAdmit, now());
   m_.pending_requests->set(static_cast<int64_t>(pending_requests_.size()));
 
-  if (is_primary()) {
+  if (primary) {
     pending_batch_.push_back(std::move(req));
     maybe_send_batch();
   }
@@ -712,7 +727,7 @@ void Replica::execute_batch(uint64_t seq, const PrePrepare& pp) {
       continue;  // replayed across views
     }
     tracer_.record(req.client, req.client_seq, obs::Phase::kCommitted, now());
-    pending_requests_.erase(hex_encode(req.digest()));
+    pending_requests_.erase(req.digest());
     ++executed_requests_;
     m_.requests_executed->inc();
     app_->on_deliver(seq, req, *this);

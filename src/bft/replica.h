@@ -179,8 +179,15 @@ class Replica : public host::HostBound<ReplicaContext> {
   bool batch_timer_armed_ = false;
   uint64_t local_seq_ = 1;  // for submit_local_request
 
-  // Request admission & watchdog (fairness monitor).
-  std::unordered_map<std::string, PendingRequest> pending_requests_;  // by digest hex
+  // Request admission & watchdog (fairness monitor), keyed by the raw
+  // request digest.  A new primary re-proposes in this map's iteration
+  // order, and fixed-seed simulator runs (their logs and virtual end
+  // times) depend on that order, so the hash stays std::hash of the
+  // digest's hex spelling.
+  struct DigestHexHash {
+    std::size_t operator()(const Bytes& digest) const;
+  };
+  std::unordered_map<Bytes, PendingRequest, DigestHexHash> pending_requests_;
   // Windowed, not scalar: a pipelined client's seqs can execute out of
   // order across a view change (client_window.h).
   std::unordered_map<NodeId, ClientExecWindow> executed_window_;

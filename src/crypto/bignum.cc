@@ -321,26 +321,154 @@ Bignum mod_inv_prime(const Bignum& a, const Bignum& p) {
   return mod_exp(r, p - Bignum(2), p);
 }
 
-int jacobi(const Bignum& a_in, const Bignum& n_in) {
+namespace {
+
+// Bernstein–Yang "posdivsteps" with Jacobi tracking (the variant used by
+// libsecp256k1's variable-time Jacobi): f odd, g >= 0, and each step is
+//   g even:            g <- g/2
+//   g odd, delta <= 0: g <- (g + f)/2
+//   g odd, delta > 0:  (f, g) <- (g, (g + f)/2)
+// with delta <- 1 +/- delta.  Every step keeps f and g non-negative and
+// gcd(f, g) unchanged, so (g/f) stays a Jacobi symbol whose sign flips are
+// determined by f and g mod 8.  All decisions depend only on the low bits,
+// so 62 steps run on single words and yield a 2x2 matrix that is then
+// applied to the full numbers once.
+
+// [f'; g'] * 2^62 = [u v; q r] * [f; g].  All entries are non-negative and
+// each row sums to at most 2^62.
+struct Divsteps {
+  uint64_t u, v, q, r;
+};
+
+// Runs 62 posdivsteps on the low words f, g (f odd).  eta = -delta.  Bit 0
+// of `jac` flips each time (g/f) changes sign.  Returns the new eta.
+// Only the low (64 - steps taken) bits of the working words stay exact,
+// which always leaves the 3 bits the sign rules need.
+int64_t posdivsteps_62(int64_t eta, uint64_t f, uint64_t g, Divsteps& t,
+                       unsigned& jac) {
+  uint64_t u = 1, v = 0, q = 0, r = 1;
+  int i = 62;
+  for (;;) {
+    // Strip up to i factors of two at once (the sentinel caps the count).
+    const int zeros = std::countr_zero(g | (~uint64_t{0} << i));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    i -= zeros;
+    // (2/f) = -1 iff f = 3 or 5 mod 8.
+    jac ^= static_cast<unsigned>(zeros) &
+           static_cast<unsigned>((f >> 1) ^ (f >> 2));
+    if (i == 0) break;
+    // g is odd here.  Cancel the low bits of g by adding w·f, as many as
+    // the steps until the next swap allow (w·f's first term is the step
+    // itself, the rest are the next steps' conditional additions).
+    int limit;
+    uint64_t w;
+    if (eta < 0) {
+      eta = -eta;
+      std::swap(f, g);
+      std::swap(u, q);
+      std::swap(v, r);
+      // Reciprocity: flip iff both are 3 mod 4.
+      jac ^= static_cast<unsigned>((f & g) >> 1);
+      limit = static_cast<int>(std::min<int64_t>(eta + 1, i));
+      // w = -g/f mod 2^min(limit, 6); f(2 - f^2) inverts f mod 64.
+      const uint64_t mask = (~uint64_t{0} >> (64 - limit)) & 63;
+      w = (f * g * (f * f - 2)) & mask;
+    } else {
+      limit = static_cast<int>(std::min<int64_t>(eta + 1, i));
+      // w = -g/f mod 2^min(limit, 4); f or f + 8 inverts f mod 16.
+      const uint64_t mask = (~uint64_t{0} >> (64 - limit)) & 15;
+      const uint64_t f_inv = f + (((f + 1) & 4) << 1);
+      w = (-f_inv * g) & mask;
+    }
+    g += f * w;
+    q += u * w;
+    r += v * w;
+  }
+  t = Divsteps{u, v, q, r};
+  return eta;
+}
+
+// (f, g) <- ((u·f + v·g) / 2^62, (q·f + r·g) / 2^62) over `len` limbs.  The
+// divisions are exact and neither value grows.
+void apply_divsteps(std::size_t len, uint64_t* f, uint64_t* g,
+                    const Divsteps& t) {
+  u128 cf = static_cast<u128>(t.u) * f[0] + static_cast<u128>(t.v) * g[0];
+  u128 cg = static_cast<u128>(t.q) * f[0] + static_cast<u128>(t.r) * g[0];
+  uint64_t lf = static_cast<uint64_t>(cf), lg = static_cast<uint64_t>(cg);
+  cf >>= 64;
+  cg >>= 64;
+  for (std::size_t i = 1; i < len; ++i) {
+    cf += static_cast<u128>(t.u) * f[i] + static_cast<u128>(t.v) * g[i];
+    cg += static_cast<u128>(t.q) * f[i] + static_cast<u128>(t.r) * g[i];
+    f[i - 1] = (lf >> 62) | (static_cast<uint64_t>(cf) << 2);
+    g[i - 1] = (lg >> 62) | (static_cast<uint64_t>(cg) << 2);
+    lf = static_cast<uint64_t>(cf);
+    lg = static_cast<uint64_t>(cg);
+    cf >>= 64;
+    cg >>= 64;
+  }
+  f[len - 1] = (lf >> 62) | (static_cast<uint64_t>(cf) << 2);
+  g[len - 1] = (lg >> 62) | (static_cast<uint64_t>(cg) << 2);
+}
+
+}  // namespace
+
+int jacobi_binary(const Bignum& a_in, const Bignum& n_in) {
   if (!n_in.is_odd()) throw std::domain_error("jacobi: n must be odd");
-  Bignum a = a_in % n_in;
+  Bignum a = a_in < n_in ? a_in : a_in % n_in;
   Bignum n = n_in;
   int result = 1;
   while (!a.is_zero()) {
-    // Strip factors of two: (2/n) = -1 iff n = +-3 mod 8.
     std::size_t twos = 0;
     while (!a.bit(twos)) ++twos;
-    if (twos > 0) {
-      a = a >> twos;
-      const uint64_t n8 = n.low_u64() & 7;
-      if ((twos & 1) && (n8 == 3 || n8 == 5)) result = -result;
+    a = a >> twos;
+    const uint64_t n8 = n.low_u64() & 7;
+    if ((twos & 1) && (n8 == 3 || n8 == 5)) result = -result;
+    // Both odd now; keep a >= n, flipping by reciprocity on a swap.
+    if (a < n) {
+      if ((a.low_u64() & 3) == 3 && (n.low_u64() & 3) == 3) result = -result;
+      std::swap(a, n);
     }
-    // Quadratic reciprocity: flip sign iff both a and n are 3 mod 4.
-    if ((a.low_u64() & 3) == 3 && (n.low_u64() & 3) == 3) result = -result;
-    std::swap(a, n);
-    a = a % n;
+    a = a - n;
   }
   return n == Bignum(1) ? result : 0;
+}
+
+int jacobi(const Bignum& a_in, const Bignum& n_in) {
+  if (!n_in.is_odd()) throw std::domain_error("jacobi: n must be odd");
+  if (n_in == Bignum(1)) return 1;
+  const Bignum a = a_in < n_in ? a_in : a_in % n_in;
+  if (a.is_zero()) return 0;
+
+  std::size_t len = n_in.limbs().size();
+  std::vector<uint64_t> f = n_in.limbs();
+  std::vector<uint64_t> g = a.limbs();
+  g.resize(len, 0);
+  int64_t eta = -1;
+  unsigned jac = 0;
+  // Random inputs take ~3 steps per bit (49 +/- 2 rounds at 1024 bits); the
+  // budget is twice that before an input that has not converged goes to the
+  // binary loop.
+  const std::size_t budget = (6 * n_in.bit_length()) / 62 + 8;
+  for (std::size_t round = 0; round < budget; ++round) {
+    Divsteps t;
+    eta = posdivsteps_62(eta, f[0], g[0], t, jac);
+    apply_divsteps(len, f.data(), g.data(), t);
+    // gcd(f, g) is invariant and f = g is a fixed point.  At f = 1 the
+    // tracked sign is the answer; at f = g > 1 the inputs share a factor.
+    if (f[0] == g[0] || f[0] == 1) {
+      const bool f_is_one =
+          f[0] == 1 && std::all_of(f.begin() + 1, f.begin() + len,
+                                   [](uint64_t l) { return l == 0; });
+      if (f_is_one) return (jac & 1) ? -1 : 1;
+      if (std::equal(f.begin(), f.begin() + len, g.begin())) return 0;
+    }
+    while (len > 1 && f[len - 1] == 0 && g[len - 1] == 0) --len;
+  }
+  return jacobi_binary(a, n_in);
 }
 
 Bignum random_below(const Bignum& bound, Drbg& rng) {

@@ -34,11 +34,9 @@ ModGroup::ModGroup(Bignum p, Bignum q, Bignum g)
     mont_q_ = std::make_shared<Montgomery>(q_);
   }
   gbar_ = hash_to_element(to_bytes("scab.modgroup.gbar.v1"));
-  g_table_ = std::make_shared<const Montgomery::Table>(
-      mont_->make_table(mont_->to_mont(g_)));
-  gbar_table_ = std::make_shared<const Montgomery::Table>(
-      mont_->make_table(mont_->to_mont(gbar_)));
-  extra_tables_ = std::make_shared<std::vector<FixedBase>>();
+  g_comb_ = build_comb(g_);
+  gbar_comb_ = build_comb(gbar_);
+  extra_combs_ = std::make_shared<std::vector<FixedBase>>();
 }
 
 ModGroup ModGroup::modp_1024() {
@@ -76,31 +74,36 @@ const Montgomery& ModGroup::require_mont() const {
 
 const Montgomery& ModGroup::mont() const { return require_mont(); }
 
-const Montgomery::Table* ModGroup::find_table(const Bignum& base) const {
-  if (base == g_) return g_table_.get();
-  if (base == gbar_) return gbar_table_.get();
-  if (extra_tables_) {
-    for (const auto& fb : *extra_tables_) {
-      if (fb.base == base) return fb.table.get();
+const Montgomery::Comb* ModGroup::find_comb(const Bignum& base) const {
+  if (base == g_) return g_comb_.get();
+  if (base == gbar_) return gbar_comb_.get();
+  if (extra_combs_) {
+    for (const auto& fb : *extra_combs_) {
+      if (fb.base == base) return fb.comb.get();
     }
   }
   return nullptr;
 }
 
-void ModGroup::cache_fixed_base(const Bignum& base) {
+std::shared_ptr<const Montgomery::Comb> ModGroup::build_comb(
+    const Bignum& base) const {
   const Montgomery& m = require_mont();
-  if (find_table(base) != nullptr) return;
-  auto& cache = *extra_tables_;
+  return std::make_shared<const Montgomery::Comb>(
+      m.make_comb(m.to_mont(base), q_.bit_length()));
+}
+
+void ModGroup::cache_fixed_base(const Bignum& base) {
+  require_mont();
+  if (find_comb(base) != nullptr) return;
+  auto& cache = *extra_combs_;
   if (cache.size() >= kMaxCachedBases) cache.erase(cache.begin());
-  cache.push_back(FixedBase{
-      base, std::make_shared<const Montgomery::Table>(
-                m.make_table(m.to_mont(base)))});
+  cache.push_back(FixedBase{base, build_comb(base)});
 }
 
 Bignum ModGroup::exp(const Bignum& base, const Bignum& e) const {
   const Montgomery& m = require_mont();
-  if (const Montgomery::Table* t = find_table(base)) {
-    return m.from_mont(m.exp(*t, e));
+  if (const Montgomery::Comb* c = find_comb(base)) {
+    return m.from_mont(m.exp(*c, e));
   }
   return m.from_mont(m.exp(m.to_mont(base), e));
 }

@@ -98,10 +98,9 @@ void Montgomery::mont_mul(const uint64_t* a, const uint64_t* b,
   }
 }
 
-void Montgomery::mont_sqr_inplace(Limbs& a) const {
-  Limbs tmp(k_);
-  mont_mul(a.data(), a.data(), tmp.data());
-  a.swap(tmp);
+void Montgomery::mont_sqr_inplace(Limbs& a, Limbs& scratch) const {
+  mont_mul(a.data(), a.data(), scratch.data());
+  a.swap(scratch);
 }
 
 Montgomery::Limbs Montgomery::to_mont(const Bignum& x) const {
@@ -161,13 +160,67 @@ Montgomery::Limbs Montgomery::exp(const Table& base, const Bignum& e) const {
   Limbs acc = base.pow[digit_at(windows - 1)];
   Limbs tmp(k_);
   for (std::size_t w = windows - 1; w-- > 0;) {
-    for (int i = 0; i < 4; ++i) {
-      mont_mul(acc.data(), acc.data(), tmp.data());
-      acc.swap(tmp);
-    }
+    for (int i = 0; i < 4; ++i) mont_sqr_inplace(acc, tmp);
     const unsigned d = digit_at(w);
     if (d != 0) {
       mont_mul(acc.data(), base.pow[d].data(), tmp.data());
+      acc.swap(tmp);
+    }
+  }
+  return acc;
+}
+
+Montgomery::Comb Montgomery::make_comb(const Limbs& base,
+                                       std::size_t bits) const {
+  Comb comb;
+  comb.spacing =
+      std::max<std::size_t>(1, (bits + kCombTeeth - 1) / kCombTeeth);
+  const std::size_t entries = std::size_t{1} << kCombTeeth;
+  comb.entries.resize(entries * k_);
+  auto entry = [&](std::size_t i) { return comb.entries.data() + i * k_; };
+  std::copy(r1_.begin(), r1_.end(), entry(0));
+  // Tooth j, base^{2^{j·spacing}}, sits at entry 2^j.
+  Limbs tooth = base;
+  Limbs tmp(k_);
+  for (unsigned j = 0; j < kCombTeeth; ++j) {
+    if (j > 0) {
+      for (std::size_t i = 0; i < comb.spacing; ++i) {
+        mont_sqr_inplace(tooth, tmp);
+      }
+    }
+    std::copy(tooth.begin(), tooth.end(), entry(std::size_t{1} << j));
+  }
+  // Every other entry is its lowest tooth times the entry without it.
+  for (std::size_t i = 3; i < entries; ++i) {
+    const std::size_t low = i & (~i + 1);
+    if (low != i) mont_mul(entry(low), entry(i ^ low), entry(i));
+  }
+  return comb;
+}
+
+Montgomery::Limbs Montgomery::exp(const Comb& comb, const Bignum& e) const {
+  if (e.is_zero()) return r1_;
+  const uint64_t* base = comb.entries.data() + k_;
+  if (e.bit_length() > comb.bits()) return exp(Limbs(base, base + k_), e);
+
+  const std::vector<uint64_t>& el = e.limbs();
+  auto bit = [&el](std::size_t i) -> std::size_t {
+    return i / 64 < el.size() ? (el[i / 64] >> (i % 64)) & 1 : 0;
+  };
+  Limbs acc;  // empty until the first nonzero column
+  Limbs tmp(k_);
+  for (std::size_t col = comb.spacing; col-- > 0;) {
+    if (!acc.empty()) mont_sqr_inplace(acc, tmp);
+    std::size_t idx = 0;
+    for (unsigned j = 0; j < kCombTeeth; ++j) {
+      idx |= bit(j * comb.spacing + col) << j;
+    }
+    if (idx == 0) continue;
+    const uint64_t* term = comb.entries.data() + idx * k_;
+    if (acc.empty()) {
+      acc.assign(term, term + k_);
+    } else {
+      mont_mul(acc.data(), term, tmp.data());
       acc.swap(tmp);
     }
   }
@@ -195,10 +248,10 @@ Montgomery::Limbs Montgomery::multi_exp(std::span<const Limbs> bases,
   };
 
   // Both plans share `bits` squarings; compare the remaining multiplies.
-  // Straus: 14 table-build muls per base plus one table lookup-mul per
-  // 4-bit window.  Pippenger with c-bit windows: per window one bucket mul
-  // per term plus ~2^{c+1} fold muls.
-  const std::size_t straus_cost = n * (14 + (bits + 3) / 4);
+  // Straus: 8 table-build muls per base plus one lookup-mul per sliding
+  // 4-bit window, ~one per 5 bits.  Pippenger with c-bit windows: per
+  // window one bucket mul per term plus ~2^{c+1} fold muls.
+  const std::size_t straus_cost = n * (8 + bits / 5);
   unsigned pip_c = 0;
   std::size_t best_cost = straus_cost;
   for (unsigned c = 2; c <= 14; ++c) {
@@ -218,18 +271,54 @@ Montgomery::Limbs Montgomery::multi_exp(std::span<const Limbs> bases,
   };
 
   if (pip_c == 0) {
-    // Straus: per-base 4-bit tables, one shared squaring chain.
-    std::vector<Table> tables;
-    tables.reserve(n);
-    for (const Limbs& b : bases) tables.push_back(make_table(b));
-    const std::size_t windows = (bits + 3) / 4;
-    for (std::size_t w = windows; w-- > 0;) {
-      if (w != windows - 1) {
-        for (int i = 0; i < 4; ++i) mont_sqr_inplace(acc);
+    // Straus with 4-bit sliding windows: each base gets a table of its odd
+    // powers base^1, base^3, ..., base^15 (one squaring and 7 multiplies),
+    // and each exponent is cut into windows that start and end on a set
+    // bit.  One squaring chain serves every term; a window's multiply lands
+    // on the chain at the window's lowest bit.
+    struct Window {
+      std::size_t pos;  // lowest bit of the window
+      std::size_t term;
+      unsigned digit;  // odd, below 16
+    };
+    std::vector<Window> windows;
+    std::vector<std::array<Limbs, 8>> odd(n);
+    for (std::size_t t = 0; t < n; ++t) {
+      const Bignum& e = exps[t];
+      if (e.is_zero()) continue;
+      for (std::size_t i = e.bit_length(); i-- > 0;) {
+        if (!e.bit(i)) continue;
+        std::size_t low = i >= 3 ? i - 3 : 0;
+        while (!e.bit(low)) ++low;
+        unsigned d = 0;
+        for (std::size_t b = i + 1; b-- > low;) {
+          d = (d << 1) | (e.bit(b) ? 1u : 0u);
+        }
+        windows.push_back(Window{low, t, d});
+        i = low;  // the loop's decrement steps below the window
       }
-      for (std::size_t t = 0; t < n; ++t) {
-        const unsigned d = digit_at(exps[t], w, 4);
-        if (d != 0) mul_into_acc(tables[t].pow[d]);
+      const Limbs square = mul(bases[t], bases[t]);
+      odd[t][0] = bases[t];
+      for (std::size_t j = 1; j < 8; ++j) {
+        odd[t][j] = mul(odd[t][j - 1], square);
+      }
+    }
+    std::sort(windows.begin(), windows.end(),
+              [](const Window& x, const Window& y) {
+                return x.pos != y.pos ? x.pos > y.pos : x.term < y.term;
+              });
+    bool started = false;
+    std::size_t next = 0;
+    for (std::size_t b = bits; b-- > 0;) {
+      if (started) mont_sqr_inplace(acc, tmp);
+      for (; next < windows.size() && windows[next].pos == b; ++next) {
+        const Limbs& m = odd[windows[next].term][windows[next].digit >> 1];
+        if (started) {
+          mul_into_acc(m);
+        } else {
+          acc = m;
+          started = true;
+        }
       }
     }
     return acc;
@@ -245,7 +334,7 @@ Montgomery::Limbs Montgomery::multi_exp(std::span<const Limbs> bases,
   std::vector<char> used(nbuckets, 0);
   for (std::size_t w = windows; w-- > 0;) {
     if (w != windows - 1) {
-      for (unsigned i = 0; i < c; ++i) mont_sqr_inplace(acc);
+      for (unsigned i = 0; i < c; ++i) mont_sqr_inplace(acc, tmp);
     }
     std::fill(used.begin(), used.end(), 0);
     for (std::size_t t = 0; t < n; ++t) {
@@ -303,10 +392,8 @@ Montgomery::Limbs Montgomery::multi_exp(const Limbs& a, const Bignum& x,
   Limbs acc = joint[4 * digit_at(x, windows - 1) + digit_at(y, windows - 1)];
   Limbs tmp(k_);
   for (std::size_t w = windows - 1; w-- > 0;) {
-    mont_mul(acc.data(), acc.data(), tmp.data());
-    acc.swap(tmp);
-    mont_mul(acc.data(), acc.data(), tmp.data());
-    acc.swap(tmp);
+    mont_sqr_inplace(acc, tmp);
+    mont_sqr_inplace(acc, tmp);
     const unsigned d = 4 * digit_at(x, w) + digit_at(y, w);
     if (d != 0) {
       mont_mul(acc.data(), joint[d].data(), tmp.data());

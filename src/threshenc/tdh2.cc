@@ -196,7 +196,7 @@ Tdh2KeyMaterial tdh2_keygen(const ModGroup& group, uint32_t threshold,
   out.pk.group = group;
   out.pk.h = group.exp(group.g(), x);
   // h is the third hot base (every encryption computes h^r): give it a
-  // cached fixed-base table alongside g and gbar.
+  // cached comb alongside g and gbar.
   out.pk.group.cache_fixed_base(out.pk.h);
   out.pk.threshold = threshold;
   out.pk.servers = servers;
@@ -250,7 +250,7 @@ bool tdh2_verify_ciphertext(const Tdh2PublicKey& pk, const Tdh2Ciphertext& ct,
   const Bignum e =
       hash_challenge(grp, ct.c, label, ct.u, ct.w, ct.ubar, ct.wbar);
   // g^f ?= w·u^e and ḡ^f ?= w̄·ū^e.  The full-width exponent f lands on the
-  // cached g/ḡ tables; the e side is only 128 bits.
+  // cached g/ḡ combs; the e side is only 128 bits.
   if (grp.exp(grp.g(), ct.f) != grp.mul(ct.w, grp.exp(ct.u, e))) return false;
   return grp.exp(grp.gbar(), ct.f) == grp.mul(ct.wbar, grp.exp(ct.ubar, e));
 }
@@ -306,8 +306,8 @@ bool tdh2_verify_share(const Tdh2PublicKey& pk, const Tdh2Ciphertext& ct,
   if (grp.exp_ratio(ct.u, share.f_i, share.u_i, e_red) != share.u_hat) {
     return false;
   }
-  // g^{f_i} ?= ĥ·h_i^{e_i} — g is table-cached and the verification key has
-  // a keygen-built table (pk.vk_tables), so the direct form wins here.
+  // g^{f_i} ?= ĥ·h_i^{e_i} — g has a cached comb and the verification key
+  // a keygen-built window table (pk.vk_tables), so the direct form wins.
   const crypto::Montgomery& mont = grp.mont();
   Bignum vk_pow;
   if (pk.vk_tables && share.index <= pk.vk_tables->size()) {

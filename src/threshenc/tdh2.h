@@ -90,7 +90,9 @@ struct Tdh2PublicKey {
 
   /// Fixed-base window tables for every verification key, built once at
   /// keygen and shared by all verifications (single-share, and the
-  /// bisection leaves of the batch path).  Aligned with verification_keys;
+  /// bisection leaves of the batch path).  A 4-bit window rather than a
+  /// comb: vk exponents are 128-bit challenges, too short to repay a comb's
+  /// build.  Aligned with verification_keys;
   /// null for hand-assembled keys, in which case verification falls back
   /// to per-call tables.
   std::shared_ptr<const std::vector<crypto::Montgomery::Table>> vk_tables;

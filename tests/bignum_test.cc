@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/modgroup.h"
+#include "crypto/montgomery.h"
+
 namespace scab::crypto {
 namespace {
 
@@ -322,25 +325,70 @@ TEST(BignumModular, FermatInverse) {
   EXPECT_THROW(mod_inv_prime(p, p), std::domain_error);
 }
 
+// Reference Jacobi symbol: the Euclidean loop (strip twos, reciprocity,
+// reduce by long division) that crypto::jacobi replaced.
+int reference_jacobi(const Bignum& a_in, const Bignum& n_in) {
+  Bignum a = a_in % n_in;
+  Bignum n = n_in;
+  int result = 1;
+  while (!a.is_zero()) {
+    std::size_t twos = 0;
+    while (!a.bit(twos)) ++twos;
+    if (twos > 0) {
+      a = a >> twos;
+      const uint64_t n8 = n.low_u64() & 7;
+      if ((twos & 1) && (n8 == 3 || n8 == 5)) result = -result;
+    }
+    if ((a.low_u64() & 3) == 3 && (n.low_u64() & 3) == 3) result = -result;
+    std::swap(a, n);
+    a = a % n;
+  }
+  return n == Bignum(1) ? result : 0;
+}
+
 TEST(BignumModular, JacobiMatchesEulerCriterionOnPrimes) {
   // For odd prime p the Jacobi symbol is the Legendre symbol, which Euler's
   // criterion computes as a^((p-1)/2) mod p.  This is exactly the use in
-  // ModGroup::is_element, where Jacobi replaces the full modexp.
+  // ModGroup::is_element, where Jacobi replaces the full modexp.  The
+  // benchmark widths (the MODP primes and random 1024-bit primes) run the
+  // multi-limb paths of the matrix updates and the length shrinking.
   Drbg rng(to_bytes("jacobi"));
-  for (const std::size_t bits : {std::size_t{32}, std::size_t{128}}) {
-    const Bignum p = random_prime(bits, rng);
+  std::vector<Bignum> primes = {random_prime(32, rng), random_prime(128, rng),
+                                ModGroup::modp_512().p(),
+                                ModGroup::modp_1024().p()};
+  for (int i = 0; i < 2; ++i) primes.push_back(random_prime(1024, rng));
+  for (const Bignum& p : primes) {
+    const Montgomery m(p);
     const Bignum half = (p - Bignum(1)) >> 1;
     for (int i = 0; i < 20; ++i) {
       const Bignum a = random_nonzero_below(p, rng);
-      const Bignum euler = mod_exp(a, half, p);
+      const Bignum euler = m.from_mont(m.exp(m.to_mont(a), half));
       const int expected = euler == Bignum(1) ? 1 : -1;
-      EXPECT_EQ(jacobi(a, p), expected);
+      EXPECT_EQ(jacobi(a, p), expected) << "bits=" << p.bit_length();
+      EXPECT_EQ(jacobi_binary(a, p), expected) << "bits=" << p.bit_length();
       // Periodicity in the top argument.
       EXPECT_EQ(jacobi(a + p, p), expected);
     }
     EXPECT_EQ(jacobi(Bignum(0), p), 0);
     EXPECT_EQ(jacobi(p, p), 0);
     EXPECT_EQ(jacobi(Bignum(1), p), 1);
+    EXPECT_EQ(jacobi(p - Bignum(1), p), reference_jacobi(p - Bignum(1), p));
+  }
+}
+
+TEST(BignumModular, JacobiMatchesReferenceOnAllSmallModuli) {
+  // Every (a, m) with m odd below 2000 and 0 <= a < m, covering composite
+  // moduli, shared factors (symbol 0) and m = 1.  Both the posdivsteps
+  // loop and the binary fallback must agree with the Euclidean reference.
+  int mismatches = 0;
+  for (uint64_t m = 1; m < 2000; m += 2) {
+    for (uint64_t a = 0; a < m; ++a) {
+      const int expected = reference_jacobi(a, m);
+      if (jacobi(a, m) != expected || jacobi_binary(a, m) != expected) {
+        ADD_FAILURE() << "a=" << a << " m=" << m;
+        if (++mismatches > 10) return;
+      }
+    }
   }
 }
 
@@ -352,6 +400,20 @@ TEST(BignumModular, JacobiKnownValuesAndCompositeModulus) {
   EXPECT_EQ(jacobi(Bignum(1001), Bignum(9907)), -1);
   EXPECT_EQ(jacobi(Bignum(5), Bignum(15)), 0);
   EXPECT_THROW(jacobi(Bignum(3), Bignum(8)), std::domain_error);
+  // Odd composites at benchmark widths, with and without a shared factor.
+  Drbg rng(to_bytes("jacobi-composite"));
+  for (const std::size_t bits : {std::size_t{65}, std::size_t{512},
+                                 std::size_t{1024}, std::size_t{1100}}) {
+    for (int i = 0; i < 10; ++i) {
+      Bignum n = random_below(Bignum(1) << bits, rng);
+      if (!n.is_odd()) n = n + Bignum(1);
+      const Bignum a = random_below(n, rng);
+      EXPECT_EQ(jacobi(a, n), reference_jacobi(a, n)) << "bits=" << bits;
+      EXPECT_EQ(jacobi(a * Bignum(3), n * Bignum(15)), 0) << "bits=" << bits;
+      EXPECT_EQ(jacobi_binary(a * Bignum(3), n * Bignum(15)), 0)
+          << "bits=" << bits;
+    }
+  }
 }
 
 TEST(BignumRandom, RandomBelowIsInRange) {

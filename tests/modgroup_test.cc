@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 namespace scab::crypto {
 namespace {
 
@@ -110,6 +113,50 @@ TEST(ModGroupSlow, Modp512IsWellFormed) {
   EXPECT_TRUE(is_probably_prime(grp.q(), rng, 16));
   EXPECT_TRUE(grp.is_element(grp.g()));
   EXPECT_TRUE(grp.is_element(grp.gbar()));
+}
+
+// Replica executors and worker-pool threads exponentiate through their own
+// copies of one group, all reading the same shared combs.  Built for the
+// TSan preset: concurrent reads only, results equal to the single-threaded
+// ones.
+TEST(ModGroupThreads, ConcurrentFixedBaseExp) {
+  ModGroup grp = ModGroup::modp_512();
+  Drbg rng(to_bytes("modgroup-threads"));
+  const Bignum h = grp.exp(grp.g(), grp.random_exponent(rng));
+  grp.cache_fixed_base(h);
+
+  // Single-threaded expectations: every fixed base at random exponents,
+  // plus membership of random Z_p^* values (about half are members).
+  struct Case {
+    Bignum base, e, want, probe;
+    bool probe_member;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 6; ++i) {
+    for (const Bignum& base : {grp.g(), grp.gbar(), h}) {
+      Case c{base, grp.random_exponent(rng), {},
+             random_nonzero_below(grp.p(), rng), false};
+      c.want = grp.exp(c.base, c.e);
+      c.probe_member = grp.is_element(c.probe);
+      cases.push_back(std::move(c));
+    }
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cases, &mismatches, t, copy = grp] {
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        const Case& c = cases[(i + static_cast<std::size_t>(t)) % cases.size()];
+        if (copy.exp(c.base, c.e) != c.want) ++mismatches[t];
+        if (!copy.is_element(c.want)) ++mismatches[t];
+        if (copy.is_element(c.probe) != c.probe_member) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 }  // namespace

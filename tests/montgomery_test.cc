@@ -132,16 +132,56 @@ TEST_P(MontgomeryCrossCheckTest, GroupOpsMatchSchoolbookInSmallGroup) {
 }
 
 TEST_P(MontgomeryCrossCheckTest, CachedFixedBaseMatchesUncached) {
-  Drbg grng(to_bytes("mont-cache-" + std::to_string(GetParam())));
-  ModGroup grp = ModGroup::generate(48, grng);
-  const Bignum h = grp.exp(grp.g(), grp.random_exponent(rng_));
-  const Bignum x = grp.random_exponent(rng_);
-  const Bignum before = grp.exp(h, x);
-  grp.cache_fixed_base(h);
-  EXPECT_EQ(grp.exp(h, x), before);
-  // Copies share the cache (the group travels by value in Tdh2PublicKey).
-  const ModGroup copy = grp;
-  EXPECT_EQ(copy.exp(h, x), before);
+  // q bit lengths 47, 48 and 49: off, on and past a multiple of the comb's
+  // teeth, so the last comb row is partial, exactly full, and partial again.
+  for (const std::size_t bits : {std::size_t{48}, std::size_t{49},
+                                 std::size_t{50}}) {
+    Drbg grng(to_bytes("mont-cache-" + std::to_string(GetParam()) + "-" +
+                       std::to_string(bits)));
+    ModGroup grp = ModGroup::generate(bits, grng);
+    const Bignum& p = grp.p();
+    const Bignum& q = grp.q();
+    const Bignum h = grp.exp(grp.g(), grp.random_exponent(rng_));
+    const std::vector<Bignum> exps = {
+        Bignum(0), Bignum(1), q - Bignum(1), q, q + Bignum(1),
+        grp.random_exponent(rng_),
+        // Wider than the comb, so they take the windowed fallback: both
+        // when q's width is a multiple of the teeth (bits = 49), the
+        // second always.
+        p - Bignum(2), (Bignum(1) << 1100) - Bignum(1)};
+    std::vector<Bignum> before;
+    for (const Bignum& x : exps) before.push_back(grp.exp(h, x));
+    EXPECT_FALSE(grp.is_fixed_base(h));
+    grp.cache_fixed_base(h);
+    EXPECT_TRUE(grp.is_fixed_base(h));
+    // Copies share the cache (the group travels by value in Tdh2PublicKey).
+    const ModGroup copy = grp;
+    for (std::size_t i = 0; i < exps.size(); ++i) {
+      EXPECT_EQ(before[i], mod_exp(h, exps[i], p)) << "bits=" << bits;
+      EXPECT_EQ(grp.exp(h, exps[i]), before[i]) << "bits=" << bits;
+      EXPECT_EQ(copy.exp(h, exps[i]), before[i]) << "bits=" << bits;
+      // g and ḡ always take their combs.
+      EXPECT_EQ(grp.exp(grp.g(), exps[i]), mod_exp(grp.g(), exps[i], p));
+      EXPECT_EQ(grp.exp(grp.gbar(), exps[i]),
+                mod_exp(grp.gbar(), exps[i], p));
+    }
+
+    // The registered-base cache is FIFO at 8 entries: a 9th base evicts the
+    // first, and every base, evicted or not, still exponentiates correctly.
+    std::vector<Bignum> bases = {h};
+    for (int i = 1; i < 9; ++i) {
+      bases.push_back(grp.exp(grp.gbar(), grp.random_exponent(rng_)));
+      grp.cache_fixed_base(bases.back());
+    }
+    EXPECT_FALSE(copy.is_fixed_base(bases[0]));
+    for (std::size_t i = 1; i < bases.size(); ++i) {
+      EXPECT_TRUE(copy.is_fixed_base(bases[i]));
+    }
+    for (const Bignum& b : bases) {
+      const Bignum x = grp.random_exponent(rng_);
+      EXPECT_EQ(copy.exp(b, x), mod_exp(b, x, p)) << "bits=" << bits;
+    }
+  }
 }
 
 TEST_P(MontgomeryCrossCheckTest, ManyTermMultiExpMatchesProductOfExps) {
@@ -163,6 +203,21 @@ TEST_P(MontgomeryCrossCheckTest, ManyTermMultiExpMatchesProductOfExps) {
           << "n=" << n << " exp_bytes=" << exp_bytes;
     }
   }
+  // Zero and short exponents among long ones: windows that end on bit 0,
+  // terms that contribute nothing, and digits at both ends of the table.
+  {
+    std::vector<Bignum> bases, exps;
+    Bignum expect(1);
+    const std::vector<Bignum> shapes = {
+        Bignum(0), Bignum(1), Bignum(2), Bignum(15), Bignum(16), Bignum(17),
+        Bignum::from_bytes_be(rng_.generate(32)), (Bignum(1) << 255)};
+    for (const Bignum& e : shapes) {
+      bases.push_back(random_nonzero_below(grp.p(), rng_));
+      exps.push_back(e);
+      expect = mod_mul(expect, mod_exp(bases.back(), e, grp.p()), grp.p());
+    }
+    EXPECT_EQ(grp.multi_exp(bases, exps), expect);
+  }
   // Degenerate cases: empty product, and an all-zero exponent vector.
   EXPECT_EQ(grp.multi_exp(std::vector<Bignum>{}, std::vector<Bignum>{}),
             Bignum(1));
@@ -181,6 +236,25 @@ TEST_P(MontgomeryCrossCheckTest, ZeroAndBoundaryExponents) {
   // Exponent one limb larger than the modulus still reduces correctly.
   const Bignum e = grp.p() * Bignum(3) + Bignum(7);
   EXPECT_EQ(m.from_mont(m.exp(m.to_mont(a), e)), mod_exp(a, e, grp.p()));
+
+  // The comb at the boundaries of its width, for a width that is and one
+  // that is not a multiple of the teeth count.
+  const Bignum& q = grp.q();
+  for (const std::size_t width : {q.bit_length(), q.bit_length() + 1}) {
+    const Montgomery::Comb comb = m.make_comb(m.to_mont(a), width);
+    ASSERT_GE(comb.bits(), width);
+    ASSERT_LT(comb.bits(), width + Montgomery::kCombTeeth);
+    const Bignum full = (Bignum(1) << comb.bits()) - Bignum(1);
+    const Bignum wider = Bignum(1) << comb.bits();
+    ASSERT_GT(wider.bit_length(), comb.bits());  // takes the fallback
+    for (const Bignum& x :
+         {Bignum(0), Bignum(1), q - Bignum(1), q, q + Bignum(1),
+          grp.p() - Bignum(2), full, wider, e,
+          (Bignum(1) << 1100) - Bignum(1)}) {
+      EXPECT_EQ(m.from_mont(m.exp(comb, x)), mod_exp(a, x, grp.p()))
+          << "width=" << width << " x=" << x.to_hex();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MontgomeryCrossCheckTest,
