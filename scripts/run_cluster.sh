@@ -20,7 +20,8 @@
 #   * every dump is schema-valid JSON (required_daemon section).
 #
 # Env knobs: BUILD (build dir, default ./build), PROTOCOL (default cp0),
-# F (default 1), SEED, BASE_PORT (default: randomized in 20000..60000).
+# F (default 1), SEED, BASE_PORT (default: randomized in 20000..32499, below
+# the Linux ephemeral range, so an outgoing socket cannot already hold it).
 # Exit 77 = sockets unavailable in this environment (ctest SKIP).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +32,7 @@ PROTOCOL="${PROTOCOL:-cp0}"
 F="${F:-1}"
 N=$((3 * F + 1))
 SEED="${SEED:-42}"
-BASE_PORT="${BASE_PORT:-$((20000 + RANDOM % 40000))}"
+BASE_PORT="${BASE_PORT:-$((20000 + RANDOM % 12500))}"
 OPS_A=20 OPS_B=20 OPS_C=40 OPS_D=60
 TOTAL=$((OPS_A + OPS_B + OPS_C))
 GRAND_TOTAL=$((TOTAL + OPS_D))

@@ -17,7 +17,9 @@ AsyncReplica::AsyncReplica(host::Host& host, NodeId id, bft::BftConfig config,
       coin_pk_(coin_pk),
       coin_key_(std::move(coin_share)),
       app_(app),
-      rng_(std::move(rng)) {}
+      rng_(std::move(rng)) {
+  bind();
+}
 
 // ---------------------------------------------------------------------------
 // Messaging

@@ -39,7 +39,7 @@ namespace scab::abft {
 
 using bft::NodeId;
 
-class AsyncReplica : public host::HostBound<bft::ReplicaContext> {
+class AsyncReplica final : public host::HostBound<bft::ReplicaContext> {
  public:
   AsyncReplica(host::Host& host, NodeId id, bft::BftConfig config,
                const bft::KeyRing& keys, const host::CostModel& costs,

@@ -140,18 +140,22 @@ class ReplicaApp {
     return {};
   }
   /// Restores a blob produced by serialize_state.  Called once, before WAL
-  /// replay, on a freshly constructed app.  Returns false on a malformed
-  /// blob (recovery then proceeds from empty app state — the BFT layer
-  /// still replays deliveries).  Default accepts only the empty blob.
+  /// replay, on a freshly constructed app.  Returns false on a blob it
+  /// cannot parse (malformed, or another layout version).  The service
+  /// state that snapshot held would be LOST — the WAL was truncated at it,
+  /// so replay re-applies only what executed after it — and Replica::recover
+  /// therefore refuses to go on.  Default accepts only the empty blob.
   virtual bool restore_state(BytesView blob, ReplicaContext& ctx) {
     (void)ctx;
     return blob.empty();
   }
   /// Replays one record the app logged via ReplicaContext::wal_append,
-  /// in append order relative to the replayed deliveries.
-  virtual void on_wal_record(BytesView record, ReplicaContext& ctx) {
+  /// in append order relative to the replayed deliveries.  Returns false on
+  /// a record it cannot parse; Replica::recover then refuses to go on.
+  virtual bool on_wal_record(BytesView record, ReplicaContext& ctx) {
     (void)record;
     (void)ctx;
+    return true;
   }
 };
 

@@ -43,6 +43,7 @@ Client::Client(host::Host& host, NodeId id, BftConfig config,
   m_.completed = &metrics_.counter("client.completed");
   m_.retries = &metrics_.counter("client.retries");
   m_.latency_ns = &metrics_.histogram("client.latency_ns");
+  bind();
 }
 
 Client::~Client() = default;

@@ -99,7 +99,7 @@ class ReplyQuorum {
   std::map<NodeId, Bytes> votes_;
 };
 
-class Client : public host::HostBound<ClientContext> {
+class Client final : public host::HostBound<ClientContext> {
  public:
   /// `metrics` receives "client."-prefixed counters/histograms; `tracer` is
   /// the cluster-wide request tracer (kSubmit/kCompleted endpoints).  Both

@@ -1,6 +1,7 @@
 #include "bft/replica.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string_view>
 
 #include "crypto/sha256.h"
@@ -44,6 +45,7 @@ Replica::Replica(host::Host& host, NodeId id, BftConfig config,
 
   storage_ = host.storage(id);
   if (storage_ != nullptr) storage_->bind_metrics(&metrics_);
+  bind();
 }
 
 void Replica::update_state_gauges() {
@@ -168,7 +170,12 @@ void Replica::apply_wal_record(BytesView rec) {
     }
     case WalTag::kApp: {
       const Bytes payload = r.raw(r.remaining());
-      if (r.ok()) app_->on_wal_record(payload, *this);
+      if (r.ok() && !app_->on_wal_record(payload, *this)) {
+        throw std::runtime_error(
+            "bft::Replica::recover: the app cannot parse a WAL record "
+            "(a data dir from an incompatible build?); refusing to run with "
+            "diverged service state");
+      }
       break;
     }
   }
@@ -260,10 +267,14 @@ bool Replica::restore_snapshot(BytesView blob) {
   executed_window_ = std::move(windows);
   reply_cache_ = std::move(replies);
   history_ = std::move(history);
-  // The BFT state above is intact regardless of the app blob's verdict: a
-  // malformed app blob only loses causal pending state, which the
-  // reveal-retry protocol rebuilds post-recovery.
-  app_->restore_state(app_blob, *this);
+  // A rejected app blob would lose the snapshot's service state (the WAL
+  // was truncated at this snapshot, so replay cannot rebuild it); see
+  // ReplicaApp::restore_state.
+  if (!app_->restore_state(app_blob, *this)) {
+    throw std::runtime_error(
+        "bft::Replica::recover: the app cannot parse its snapshot state (a "
+        "data dir from an incompatible build?); refusing to run without it");
+  }
   return true;
 }
 

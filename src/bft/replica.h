@@ -27,7 +27,7 @@
 
 namespace scab::bft {
 
-class Replica : public host::HostBound<ReplicaContext> {
+class Replica final : public host::HostBound<ReplicaContext> {
  public:
   /// `metrics` receives this replica's "bft."-prefixed instruments (plus
   /// whatever the app publishes); `tracer` is the cluster-wide request

@@ -12,39 +12,6 @@ using bft::NodeId;
 using host::Op;
 
 // ---------------------------------------------------------------------------
-// Cp0Backend
-
-std::vector<uint8_t> Cp0Backend::batch_verify_shares(
-    BytesView ct, BytesView label, const std::vector<Bytes>& shares,
-    crypto::Drbg& /*rng*/, uint32_t* fallback_splits) {
-  if (fallback_splits != nullptr) *fallback_splits = 0;
-  std::vector<uint8_t> verdicts(shares.size(), 0);
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    verdicts[i] = verify_share(ct, label, shares[i]) ? 1 : 0;
-  }
-  return verdicts;
-}
-
-std::function<Cp0Backend::BatchVerifyResult()>
-Cp0Backend::make_batch_share_verifier(BytesView ct, BytesView label,
-                                      std::vector<Bytes> shares,
-                                      crypto::Drbg& rng) {
-  // The fork gives the job an independent deterministic stream: the
-  // protocol thread's rng advances exactly one fork draw regardless of how
-  // (or when) the job runs.
-  return [this, ct = Bytes(ct.begin(), ct.end()),
-          label = Bytes(label.begin(), label.end()),
-          shares = std::move(shares),
-          rng = rng.fork(to_bytes("cp0-batch-verify"))]() mutable {
-    BatchVerifyResult out;
-    out.verdicts = batch_verify_shares(ct, label, shares, rng,
-                                       &out.fallback_splits);
-    out.shares = std::move(shares);
-    return out;
-  };
-}
-
-// ---------------------------------------------------------------------------
 // RealTdh2Backend
 
 const RealTdh2Backend::ParsedWire* RealTdh2Backend::parsed_ct(BytesView ct) {
@@ -96,52 +63,15 @@ bool RealTdh2Backend::verify_ciphertext(BytesView ct, BytesView label) {
   return threshenc::hybrid_verify(pk_, *parsed->single, label);
 }
 
-std::optional<Bytes> RealTdh2Backend::decryption_share(uint32_t index,
-                                                       BytesView ct,
-                                                       BytesView label,
-                                                       crypto::Drbg& rng) {
+std::optional<Bytes> RealTdh2Backend::decryption_share_preverified(
+    uint32_t index, BytesView ct, BytesView label, crypto::Drbg& rng) {
+  (void)label;  // bound into the (already verified) ciphertext
   if (!my_key_ || my_key_->index != index) return std::nullopt;
   const ParsedWire* parsed = parsed_ct(ct);
   if (parsed == nullptr) return std::nullopt;
-  auto share = threshenc::tdh2_share_decrypt(pk_, *my_key_, parsed->kem(), label, rng);
-  if (!share) return std::nullopt;
-  return share->serialize(pk_.group);
-}
-
-bool RealTdh2Backend::verify_share(BytesView ct, BytesView label,
-                                   BytesView share) {
-  const ParsedWire* parsed = parsed_ct(ct);
-  auto parsed_share = threshenc::Tdh2DecryptionShare::parse(pk_.group, share);
-  if (parsed == nullptr || !parsed_share) return false;
-  return threshenc::tdh2_verify_share(pk_, parsed->kem(), label, *parsed_share);
-}
-
-std::vector<uint8_t> RealTdh2Backend::batch_verify_shares(
-    BytesView ct, BytesView label, const std::vector<Bytes>& shares,
-    crypto::Drbg& rng, uint32_t* fallback_splits) {
-  if (fallback_splits != nullptr) *fallback_splits = 0;
-  std::vector<uint8_t> verdicts(shares.size(), 0);
-  const ParsedWire* parsed = parsed_ct(ct);
-  if (parsed == nullptr) return verdicts;
-  // Shares that fail to parse keep verdict 0; the rest go through one
-  // randomized batch equation (with bisection fallback inside).
-  std::vector<threshenc::Tdh2DecryptionShare> batch;
-  std::vector<std::size_t> positions;
-  batch.reserve(shares.size());
-  positions.reserve(shares.size());
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    auto ps = threshenc::Tdh2DecryptionShare::parse(pk_.group, shares[i]);
-    if (!ps) continue;
-    batch.push_back(std::move(*ps));
-    positions.push_back(i);
-  }
-  const threshenc::Tdh2BatchVerdict verdict =
-      threshenc::tdh2_batch_verify_shares(pk_, parsed->kem(), label, batch, rng);
-  for (std::size_t j = 0; j < positions.size(); ++j) {
-    verdicts[positions[j]] = verdict.valid[j];
-  }
-  if (fallback_splits != nullptr) *fallback_splits = verdict.bisection_splits;
-  return verdicts;
+  return threshenc::tdh2_share_decrypt_preverified(pk_, *my_key_, parsed->kem(),
+                                                   rng)
+      .serialize(pk_.group);
 }
 
 std::function<Cp0Backend::BatchVerifyResult()>
@@ -149,11 +79,12 @@ RealTdh2Backend::make_batch_share_verifier(BytesView ct, BytesView label,
                                            std::vector<Bytes> shares,
                                            crypto::Drbg& rng) {
   // Everything stateful happens HERE, on the protocol thread: the
-  // parsed-ciphertext LRU lookup (not thread-safe) and the rng fork.  The
-  // job closes over a copy of the public key — cheap: the vk fixed-base
-  // tables ride a shared_ptr, and share verification never touches the
-  // (combine-only) mutable Lagrange cache — plus the KEM ciphertext, so it
-  // is free of references into this backend.
+  // parsed-ciphertext LRU lookup (not thread-safe) and the rng fork (the
+  // protocol thread's stream advances exactly one fork draw regardless of
+  // how or when the job runs).  The job closes over a copy of the public
+  // key — cheap: the vk fixed-base tables ride a shared_ptr, and share
+  // verification never touches the (combine-only) mutable Lagrange cache —
+  // plus the KEM ciphertext, so it is free of references into this backend.
   const ParsedWire* parsed = parsed_ct(ct);
   std::optional<threshenc::Tdh2Ciphertext> kem;
   if (parsed != nullptr) kem = parsed->kem();
@@ -164,6 +95,8 @@ RealTdh2Backend::make_batch_share_verifier(BytesView ct, BytesView label,
     BatchVerifyResult out;
     out.verdicts.assign(shares.size(), 0);
     if (kem) {
+      // Shares that fail to parse keep verdict 0; the rest go through one
+      // randomized batch equation (with bisection fallback inside).
       std::vector<threshenc::Tdh2DecryptionShare> batch;
       std::vector<std::size_t> positions;
       batch.reserve(shares.size());
@@ -184,56 +117,6 @@ RealTdh2Backend::make_batch_share_verifier(BytesView ct, BytesView label,
     out.shares = std::move(shares);
     return out;
   };
-}
-
-std::optional<Bytes> RealTdh2Backend::combine(BytesView ct, BytesView label,
-                                              const std::vector<Bytes>& shares) {
-  const ParsedWire* parsed = parsed_ct(ct);
-  if (parsed == nullptr || parsed->batch) return std::nullopt;
-  std::vector<threshenc::Tdh2DecryptionShare> parsed_shares;
-  for (const auto& s : shares) {
-    auto ps = threshenc::Tdh2DecryptionShare::parse(pk_.group, s);
-    if (ps) parsed_shares.push_back(std::move(*ps));
-  }
-  auto seed = threshenc::tdh2_combine(pk_, parsed->kem(), label, parsed_shares);
-  if (!seed) return std::nullopt;
-  return threshenc::hybrid_open(*parsed->single, label, *seed);
-}
-
-std::optional<Bytes> RealTdh2Backend::decryption_share_preverified(
-    uint32_t index, BytesView ct, BytesView label, crypto::Drbg& rng) {
-  (void)label;  // bound into the (already verified) ciphertext
-  if (!my_key_ || my_key_->index != index) return std::nullopt;
-  const ParsedWire* parsed = parsed_ct(ct);
-  if (parsed == nullptr) return std::nullopt;
-  return threshenc::tdh2_share_decrypt_preverified(pk_, *my_key_, parsed->kem(),
-                                                   rng)
-      .serialize(pk_.group);
-}
-
-std::optional<Bytes> RealTdh2Backend::combine_preverified(
-    BytesView ct, BytesView label, const std::vector<Bytes>& shares) {
-  const ParsedWire* parsed = parsed_ct(ct);
-  if (parsed == nullptr || parsed->batch) return std::nullopt;
-  auto seed = combine_seed_preverified(*parsed, shares);
-  if (!seed) return std::nullopt;
-  return threshenc::hybrid_open(*parsed->single, label, *seed);
-}
-
-std::optional<Bytes> RealTdh2Backend::combine_seed_preverified(
-    const ParsedWire& parsed, const std::vector<Bytes>& shares) {
-  std::vector<threshenc::Tdh2DecryptionShare> parsed_shares;
-  for (const auto& s : shares) {
-    auto ps = threshenc::Tdh2DecryptionShare::parse(pk_.group, s);
-    if (ps) parsed_shares.push_back(std::move(*ps));
-  }
-  auto seed = threshenc::tdh2_combine_preverified(pk_, parsed.kem(), parsed_shares);
-  if (!seed) return std::nullopt;
-  if (pk_.lagrange_cache && lagrange_hits_ != nullptr) {
-    lagrange_hits_->set(static_cast<int64_t>(pk_.lagrange_cache->hits));
-    lagrange_misses_->set(static_cast<int64_t>(pk_.lagrange_cache->misses));
-  }
-  return seed;
 }
 
 uint32_t RealTdh2Backend::batch_count(BytesView ct) {
@@ -265,8 +148,18 @@ std::optional<std::vector<Bytes>> RealTdh2Backend::combine_batch_preverified(
     const std::vector<Bytes>& shares) {
   const ParsedWire* parsed = parsed_ct(ct);
   if (parsed == nullptr) return std::nullopt;
-  auto seed = combine_seed_preverified(*parsed, shares);
+  std::vector<threshenc::Tdh2DecryptionShare> parsed_shares;
+  for (const auto& s : shares) {
+    auto ps = threshenc::Tdh2DecryptionShare::parse(pk_.group, s);
+    if (ps) parsed_shares.push_back(std::move(*ps));
+  }
+  auto seed =
+      threshenc::tdh2_combine_preverified(pk_, parsed->kem(), parsed_shares);
   if (!seed) return std::nullopt;
+  if (pk_.lagrange_cache && lagrange_hits_ != nullptr) {
+    lagrange_hits_->set(static_cast<int64_t>(pk_.lagrange_cache->hits));
+    lagrange_misses_->set(static_cast<int64_t>(pk_.lagrange_cache->misses));
+  }
   if (parsed->batch) {
     return threshenc::hybrid_batch_open(*parsed->batch, prefix, full_label,
                                         *seed);
@@ -357,46 +250,10 @@ bool ModeledThresholdBackend::verify_ciphertext(BytesView ct, BytesView label) {
          std::equal(bound_label.begin(), bound_label.end(), label.begin());
 }
 
-std::optional<Bytes> ModeledThresholdBackend::decryption_share(
-    uint32_t index, BytesView ct, BytesView label, crypto::Drbg& /*rng*/) {
-  if (!verify_ciphertext(ct, label)) return std::nullopt;
-  Writer w;
-  w.u32(index);
-  w.raw(modeled_share_tag(label, index));
-  return std::move(w).take();
-}
-
-bool ModeledThresholdBackend::verify_share(BytesView /*ct*/, BytesView label,
-                                           BytesView share) {
-  Reader r(share);
-  const uint32_t index = r.u32();
-  const Bytes tag = r.raw(8);
-  // 1 <= index <= n: otherwise one sender can fabricate distinct "valid"
-  // indices (n+1, n+2, ...) toward the combine threshold.
-  if (!r.done() || index == 0 || index > servers_) return false;
-  return ct_equal(tag, modeled_share_tag(label, index));
-}
-
-std::optional<Bytes> ModeledThresholdBackend::combine(
-    BytesView ct, BytesView label, const std::vector<Bytes>& shares) {
-  std::set<uint32_t> indices;
-  for (const auto& s : shares) {
-    if (!verify_share(ct, label, s)) continue;
-    Reader r(s);
-    indices.insert(r.u32());
-  }
-  if (indices.size() < threshold_) return std::nullopt;
-  Reader r(ct);
-  r.bytes();  // label
-  Bytes message = r.bytes();
-  if (!r.done()) return std::nullopt;
-  return message;
-}
-
 std::optional<Bytes> ModeledThresholdBackend::decryption_share_preverified(
     uint32_t index, BytesView ct, BytesView label, crypto::Drbg& /*rng*/) {
   // The caller vouched for the ciphertext (CP0 charges the proof check once
-  // at admission), so skip the label re-check the checked path pays.
+  // at admission), so no label re-check here.
   (void)ct;
   Writer w;
   w.u32(index);
@@ -404,27 +261,29 @@ std::optional<Bytes> ModeledThresholdBackend::decryption_share_preverified(
   return std::move(w).take();
 }
 
-std::optional<Bytes> ModeledThresholdBackend::combine_preverified(
-    BytesView ct, BytesView label, const std::vector<Bytes>& shares) {
-  (void)label;
-  // Shares arrive already verified (CP0's reveal flush runs them through
-  // batch_verify_shares), so only structure and index distinctness matter
-  // here — re-running the tag check per share would model a cost the real
-  // preverified combine no longer pays.
-  std::set<uint32_t> indices;
-  for (const auto& s : shares) {
-    Reader r(s);
-    const uint32_t index = r.u32();
-    (void)r.raw(8);  // tag: already checked by the batch flush
-    if (!r.done() || index == 0 || index > servers_) continue;
-    indices.insert(index);
-  }
-  if (indices.size() < threshold_) return std::nullopt;
-  Reader r(ct);
-  r.bytes();  // label
-  Bytes message = r.bytes();
-  if (!r.done()) return std::nullopt;
-  return message;
+std::function<Cp0Backend::BatchVerifyResult()>
+ModeledThresholdBackend::make_batch_share_verifier(BytesView /*ct*/,
+                                                   BytesView label,
+                                                   std::vector<Bytes> shares,
+                                                   crypto::Drbg& rng) {
+  // The fork is discarded but still drawn: the caller's rng stream stays
+  // where the real backend leaves it.
+  (void)rng.fork(to_bytes("cp0-batch-verify"));
+  return [label = Bytes(label.begin(), label.end()), shares = std::move(shares),
+          servers = servers_]() mutable {
+    BatchVerifyResult out;
+    for (const Bytes& share : shares) {
+      Reader r(share);
+      const uint32_t index = r.u32();
+      const Bytes tag = r.raw(8);
+      // 1 <= index <= n: otherwise one sender could fabricate distinct
+      // "valid" indices (n+1, n+2, ...) toward the combine threshold.
+      out.verdicts.push_back(r.done() && index != 0 && index <= servers &&
+                             ct_equal(tag, modeled_share_tag(label, index)));
+    }
+    out.shares = std::move(shares);
+    return out;
+  };
 }
 
 uint32_t ModeledThresholdBackend::batch_count(BytesView ct) {
@@ -456,73 +315,60 @@ Bytes ModeledThresholdBackend::encrypt_batch(const std::vector<Bytes>& messages,
 
 std::optional<std::vector<Bytes>>
 ModeledThresholdBackend::combine_batch_preverified(
-    BytesView ct, BytesView prefix, BytesView full_label,
+    BytesView ct, BytesView /*prefix*/, BytesView /*full_label*/,
     const std::vector<Bytes>& shares) {
-  if (!is_modeled_batch(ct)) {
-    auto one = combine_preverified(ct, full_label, shares);
-    if (!one) return std::nullopt;
-    std::vector<Bytes> out;
-    out.push_back(std::move(*one));
-    return out;
-  }
-  (void)prefix;
-  // Structure/distinctness check mirrors combine_preverified.
+  // Shares arrive already verified (CP0's reveal flush runs them through
+  // the batch verifier), so only structure and index distinctness matter
+  // here — re-running the tag check per share would model a cost the real
+  // preverified combine does not pay.
   std::set<uint32_t> indices;
   for (const auto& s : shares) {
     Reader r(s);
     const uint32_t index = r.u32();
-    (void)r.raw(8);
+    (void)r.raw(8);  // tag: already checked by the batch flush
     if (!r.done() || index == 0 || index > servers_) continue;
     indices.insert(index);
   }
   if (indices.size() < threshold_) return std::nullopt;
-  auto batch = parse_modeled_batch(ct);
-  if (!batch) return std::nullopt;
-  return std::move(batch->second);
+  if (is_modeled_batch(ct)) {
+    auto batch = parse_modeled_batch(ct);
+    if (!batch) return std::nullopt;
+    return std::move(batch->second);
+  }
+  Reader r(ct);
+  r.bytes();  // label
+  std::vector<Bytes> out;
+  out.push_back(r.bytes());
+  if (!r.done()) return std::nullopt;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
-// Cp0ReplicaApp
+// Cp0Scheme
 
-namespace {
-Bytes encode_share_msg(const RequestId& id, BytesView share) {
-  Writer w;
-  id.write(w);
-  w.bytes(share);
-  return std::move(w).take();
-}
-}  // namespace
+Cp0Scheme::Cp0Scheme(std::unique_ptr<Cp0Backend> backend)
+    : RevealScheme({.prefix = "cp0",
+                    // `cp0.batch_size` is the causal-layer batch (payloads
+                    // per TDH2 envelope, like cp1/cp2/cp3); the share flush
+                    // is a verification batch and keeps its own name.
+                    .flush_histogram = "verify_batch_size",
+                    .recovered_counter = "combines",
+                    .client_deals = false,
+                    .restart_on_restore = false}),
+      backend_(std::move(backend)) {}
 
-void Cp0ReplicaApp::bind_metrics(bft::ReplicaContext& ctx) {
-  if (m_.ct_verified != nullptr) return;
-  obs::MetricsRegistry& reg = ctx.metrics();
+void Cp0Scheme::bind_metrics(obs::MetricsRegistry& reg) {
   m_.ct_verified = &reg.counter("cp0.ct_verified");
   m_.ct_rejected = &reg.counter("cp0.ct_rejected");
   m_.shares_verified = &reg.counter("cp0.shares_verified");
   m_.shares_rejected = &reg.counter("cp0.shares_rejected");
-  m_.combines = &reg.counter("cp0.combines");
-  m_.early_stashed = &reg.counter("cp0.early_stashed");
   m_.batch_fallbacks = &reg.counter("cp0.batch_fallbacks");
-  m_.reveal_retries = &reg.counter("cp0.reveal_retries");
-  m_.share_rerequests_answered = &reg.counter("cp0.share_rerequests_answered");
-  m_.late_shares_dropped = &reg.counter("cp0.late_shares_dropped");
-  // Two distinct batch notions: `cp0.batch_size` is the causal-layer one
-  // (payloads aggregated under one TDH2 envelope, matching cp1/cp2/cp3);
-  // the share-verification flush size keeps its own histogram.
-  m_.batch_size = &reg.histogram("cp0.verify_batch_size");
   m_.envelope_payloads = &reg.histogram("cp0.batch_size");
-  m_.reveal_ns = &reg.histogram("cp0.reveal_ns");
-  m_.inflight_slots = &reg.histogram("pipeline.inflight_slots");
-  m_.pending = &reg.gauge("cp0.pending");
-  m_.early_shares = &reg.gauge("cp0.early_shares");
   backend_->bind_metrics(reg);
-  tracer_ = &ctx.tracer();
 }
 
-bool Cp0ReplicaApp::validate_request(NodeId client,
-                                     const bft::ClientRequestMsg& msg,
-                                     bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
+bool Cp0Scheme::validate_request(NodeId client, const bft::ClientRequestMsg& msg,
+                                 bft::ReplicaContext& ctx) {
   // "Each replica should verify that the label in the ciphertext indeed
   // contains the identity of the sender" — the label IS (client, seq), so
   // verifying the ciphertext against the label derived from the
@@ -540,8 +386,6 @@ bool Cp0ReplicaApp::validate_request(NodeId client,
     return false;
   }
   m_.ct_verified->inc();
-  // Remember the verdict (keyed by payload digest) so the reveal step can
-  // use the preverified backend paths when PBFT delivers the same bytes.
   if (validated_.size() >= kMaxValidatedCache) {
     validated_.erase(validated_.begin());
   }
@@ -549,492 +393,147 @@ bool Cp0ReplicaApp::validate_request(NodeId client,
   return true;
 }
 
-void Cp0ReplicaApp::on_deliver(uint64_t /*seq*/, const bft::Request& req,
-                               bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  const RequestId id{req.client, req.client_seq};
-  if (completed_.contains(id)) return;
-  PendingReveal& p = pending_[id];
-  if (p.delivered) return;
-  p.delivered = true;
-  p.delivered_at = ctx.now();
-  p.ciphertext = req.payload;
-  p.client = req.client;
-  p.client_seq = req.client_seq;
-  exec_queue_.push_back(id);
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
+std::unique_ptr<Cp0Scheme::State> Cp0Scheme::make_state(BytesView payload,
+                                                        const RequestId& id) {
+  auto st = std::make_unique<State>();
+  st->label = backend_->reveal_label(payload, id.encode());
+  st->count = backend_->batch_count(payload);
+  return st;
+}
 
-  // Adopt any shares that raced ahead of delivery.
-  for (auto& [sender, stash] : early_shares_) {
-    for (auto sit = stash.begin(); sit != stash.end();) {
-      if (sit->first != id) {
-        ++sit;
-        continue;
-      }
-      if (!p.valid_from.contains(sender) && !p.unverified.contains(sender)) {
-        p.unverified[sender] = std::move(sit->second);
-      }
-      sit = stash.erase(sit);
-    }
-  }
-
-  // Reveal step: produce and broadcast our decryption share — ONE per
-  // envelope, however many payloads it packs (that is the amortization).
+std::unique_ptr<RecoveryState> Cp0Scheme::admit(const RequestId& id,
+                                                BytesView payload, Bytes& own,
+                                                bft::ReplicaContext& ctx) {
+  auto st = make_state(payload, id);
+  m_.envelope_payloads->record(st->count);
+  if (st->count > 1) ctx.charge(Op::kHash, payload.size());
   // The proof check was already paid at validate_request time iff PBFT
   // delivered the exact bytes this replica validated; a backup that
   // admitted the request from a pre-prepare without validating it (or saw
   // different bytes) pays it now.
-  p.label = backend_->reveal_label(req.payload, id.encode());
-  p.count = backend_->batch_count(req.payload);
-  m_.envelope_payloads->record(p.count);
-  if (p.count > 1) ctx.charge(Op::kHash, req.payload.size());
   bool ciphertext_ok = false;
   if (auto vit = validated_.find(id); vit != validated_.end()) {
-    ctx.charge(Op::kHash, req.payload.size());
-    ciphertext_ok = vit->second == crypto::sha256(req.payload);
+    ctx.charge(Op::kHash, payload.size());
+    ciphertext_ok = vit->second == crypto::sha256(payload);
     validated_.erase(vit);
   }
   if (!ciphertext_ok) {
-    ctx.charge(Op::kTdh2VerifyCt, req.payload.size());
-    ciphertext_ok = backend_->verify_ciphertext(req.payload, p.label);
+    ctx.charge(Op::kTdh2VerifyCt, payload.size());
+    ciphertext_ok = backend_->verify_ciphertext(payload, st->label);
   }
-  std::optional<Bytes> share;
   if (ciphertext_ok) {
-    // Share decryption only touches the KEM header, so a batched envelope
-    // pays the single-envelope price (1 KB convention unit), not one
-    // proportional to the packed payload bytes.
-    ctx.charge(Op::kTdh2ShareDec, p.count > 1 ? 1024 : req.payload.size());
-    share = backend_->decryption_share_preverified(ctx.id() + 1, req.payload,
-                                                   p.label, ctx.rng());
-  }
-  if (share) {
-    // Our own share is counted immediately (and kept honest even when this
-    // replica serves corrupted shares to everyone else).
-    p.valid_from.insert(ctx.id());
-    p.valid.push_back(*share);
-    p.own_share_wire = *share;
-    ctx.broadcast_causal(encode_share_msg(id, corrupted_if_faulty(*share)));
-  }
-  try_reveal(id, ctx);
-  arm_reveal_retry(id, 0, ctx);
-}
-
-Bytes Cp0ReplicaApp::corrupted_if_faulty(const Bytes& wire) const {
-  if (!corrupt_shares_) return wire;
-  Bytes outgoing = wire;
-  for (std::size_t i = 0; i < outgoing.size(); i += 7) outgoing[i] ^= 0xa5;
-  return outgoing;
-}
-
-void Cp0ReplicaApp::arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                                     bft::ReplicaContext& ctx) {
-  if (attempt >= kMaxRevealRetries) return;
-  {
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.delivered || it->second.revealed) {
-      return;
+    // ONE share per envelope, however many payloads it packs (that is the
+    // amortization).  Share decryption only touches the KEM header, so a
+    // batched envelope pays the single-envelope price (1 KB convention
+    // unit), not one proportional to the packed payload bytes.
+    ctx.charge(Op::kTdh2ShareDec, st->count > 1 ? 1024 : payload.size());
+    if (auto share = backend_->decryption_share_preverified(
+            ctx.id() + 1, payload, st->label, ctx.rng())) {
+      own = std::move(*share);
     }
   }
-  ctx.schedule(kRevealRetryBase << std::min(attempt, 4u),
-               [this, id, attempt, &ctx] {
-                 auto it = pending_.find(id);
-                 if (it == pending_.end() || !it->second.delivered ||
-                     it->second.revealed) {
-                   return;
-                 }
-                 m_.reveal_retries->inc();
-                 // Shares can have been lost to a partition or a peer
-                 // restart: push ours again and ask for everyone else's
-                 // (an empty share wire is the re-request sentinel; it can
-                 // never be a real share, which always parses non-empty).
-                 if (!it->second.own_share_wire.empty()) {
-                   ctx.broadcast_causal(encode_share_msg(
-                       id, corrupted_if_faulty(it->second.own_share_wire)));
-                 }
-                 ctx.broadcast_causal(encode_share_msg(id, Bytes{}));
-                 arm_reveal_retry(id, attempt + 1, ctx);
-               });
+  return st;
 }
 
-void Cp0ReplicaApp::answer_share_request(const RequestId& id, NodeId from,
-                                         bft::ReplicaContext& ctx) {
-  const Bytes* wire = nullptr;
-  if (auto it = pending_.find(id);
-      it != pending_.end() && !it->second.own_share_wire.empty()) {
-    wire = &it->second.own_share_wire;
-  } else if (auto cit = completed_shares_.find(id);
-             cit != completed_shares_.end()) {
-    wire = &cit->second;
-  }
-  if (wire == nullptr) return;  // never delivered it (or evicted): silence
-  m_.share_rerequests_answered->inc();
-  ctx.send_causal(from, encode_share_msg(id, corrupted_if_faulty(*wire)));
+std::unique_ptr<RecoveryState> Cp0Scheme::resume(const RequestId& id,
+                                                 BytesView payload) {
+  return make_state(payload, id);
 }
 
-void Cp0ReplicaApp::on_causal_message(NodeId from, BytesView body,
-                                      bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  Reader r(body);
-  const RequestId id = RequestId::read(r);
-  const Bytes share = r.bytes();
-  if (!r.done()) return;
-  if (share.empty()) {
-    // Re-request sentinel (see arm_reveal_retry): the sender lost our share
-    // — most likely it restarted and is re-collecting for requests we have
-    // long finished.  Answer before the completed_ drop below.
-    answer_share_request(id, from, ctx);
-    return;
-  }
-  if (completed_.contains(id)) {
-    // Late share: the reveal already completed and executed.  Dropped on
-    // the floor — never re-queued into pending_, which would resurrect
-    // reveal state for a finished request without bound.
-    m_.late_shares_dropped->inc();
-    return;
-  }
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    // Not delivered yet.  A correct peer can legitimately be ahead of us,
-    // but a Byzantine one can also name RequestIds forever — so stash the
-    // share in a bounded per-sender FIFO instead of creating reveal state
-    // keyed by an unauthenticated id.
-    auto& stash = early_shares_[from];
-    for (const auto& [stashed_id, unused] : stash) {
-      if (stashed_id == id) return;
-    }
-    if (stash.size() >= kMaxEarlySharesPerSender) stash.pop_front();
-    stash.emplace_back(id, share);
-    m_.early_stashed->inc();
-    m_.early_shares->set(static_cast<int64_t>(early_share_count()));
-    return;
-  }
-  PendingReveal& p = it->second;
-  if (p.valid_from.contains(from) || p.unverified.contains(from)) return;
-  p.unverified[from] = share;
-  try_reveal(id, ctx);
+std::size_t Cp0Scheme::start(RecoveryState& st, BytesView /*payload*/,
+                             const Bytes& own, std::vector<Share>& /*backlog*/,
+                             bft::ReplicaContext& /*ctx*/) {
+  // Our own share counts at once (and stays honest even when this replica
+  // serves corrupted shares to everyone else).
+  if (!own.empty()) static_cast<State&>(st).valid.push_back(own);
+  return 0;
 }
 
-std::size_t Cp0ReplicaApp::early_share_count() const {
-  std::size_t count = 0;
-  for (const auto& [sender, stash] : early_shares_) count += stash.size();
-  return count;
-}
-
-void Cp0ReplicaApp::try_reveal(const RequestId& id, bft::ReplicaContext& ctx) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  PendingReveal& p = it->second;
-  // The reveal step only starts after the schedule step committed (we need
-  // the agreed ciphertext to verify shares against).
-  if (!p.delivered || p.revealed) return;
-
-  const Bytes& label = p.label;
-  const uint32_t t = backend_->threshold();
-  // Accumulate-then-flush: pending shares stay unverified until they can
+bool Cp0Scheme::ready(const RecoveryState& s, std::size_t backlog) const {
+  // Accumulate-then-flush: queued shares stay unverified until they can
   // possibly complete the threshold, then ALL of them go through one
-  // randomized batch verification (amortized to one merged equation in the
-  // real backend — DESIGN.md §4.3).  Waiting costs nothing: the combine
-  // cannot proceed before the threshold is reachable anyway.  The batch
-  // runs as a worker-pool job (DESIGN.md §12): the protocol thread charges
-  // and submits, the continuation adopts the verdicts back on this
-  // replica's executor.  Under the inline pool (simulator, threads=0) the
-  // continuation runs before offload() returns — identical sequencing to
-  // calling batch_verify_shares here.  While a flush is in flight, new
-  // shares keep accumulating in p.unverified for the next flush.
-  if (!p.verify_inflight && p.valid.size() < t && !p.unverified.empty() &&
-      p.valid.size() + p.unverified.size() >= t) {
-    std::vector<NodeId> senders;
-    std::vector<Bytes> wires;
-    senders.reserve(p.unverified.size());
-    wires.reserve(p.unverified.size());
-    for (auto& [sender, wire] : p.unverified) {
-      senders.push_back(sender);
-      wires.push_back(std::move(wire));
-    }
-    p.unverified.clear();
-    // bytes = k·1024 by convention: per_byte prices the per-share cost.
-    ctx.charge(Op::kTdh2BatchVerifyShare, wires.size() * 1024);
-    p.verify_inflight = true;
-    auto job = backend_->make_batch_share_verifier(p.ciphertext, label,
-                                                   std::move(wires), ctx.rng());
-    ctx.offload([this, &ctx, id, senders = std::move(senders),
-                 job = std::move(job)]() mutable -> std::function<void()> {
-      // Pool thread: only the self-contained job runs here.
-      auto result = job();
-      return [this, &ctx, id, senders = std::move(senders),
-              result = std::move(result)]() mutable {
-        // Back on the protocol thread.  The pending entry can only have
-        // disappeared with the whole app (combine is gated on this very
-        // flush), but stay defensive.
-        auto it = pending_.find(id);
-        if (it == pending_.end()) return;
-        PendingReveal& p = it->second;
-        p.verify_inflight = false;
-        if (p.revealed) return;
-        bool any_rejected = false;
-        for (std::size_t i = 0; i < result.shares.size(); ++i) {
-          if (result.verdicts[i]) {
-            p.valid_from.insert(senders[i]);
-            p.valid.push_back(std::move(result.shares[i]));
-            m_.shares_verified->inc();
-          } else {
-            m_.shares_rejected->inc();
-            any_rejected = true;
-          }
-        }
-        m_.batch_size->record(result.shares.size());
-        if (any_rejected || result.fallback_splits > 0) {
-          m_.batch_fallbacks->inc();
-        }
-        // Re-enter: combine if the threshold is met, or flush the shares
-        // that accumulated while this batch was on the pool.
-        try_reveal(id, ctx);
-      };
-    });
-    return;
-  }
+  // randomized batch verification (DESIGN.md §4.3).  Waiting costs
+  // nothing: the combine cannot proceed before the threshold anyway.
+  const auto& st = static_cast<const State&>(s);
+  const std::size_t t = backend_->threshold();
+  return st.valid.size() < t && st.valid.size() + backlog >= t;
+}
 
-  if (p.valid.size() < t) return;
+RecoverJob Cp0Scheme::recover(RecoveryState& s, BytesView payload,
+                              std::vector<Share> batch,
+                              bft::ReplicaContext& ctx) {
+  const auto& st = static_cast<State&>(s);
+  std::vector<NodeId> senders;
+  std::vector<Bytes> wires;
+  for (Share& share : batch) {
+    senders.push_back(share.from);
+    wires.push_back(std::move(share.wire));
+  }
+  // bytes = k·1024 by convention: per_byte prices the per-share cost.
+  ctx.charge(Op::kTdh2BatchVerifyShare, wires.size() * 1024);
+  auto verify = backend_->make_batch_share_verifier(payload, st.label,
+                                                    std::move(wires), ctx.rng());
+  return [this, senders = std::move(senders),
+          verify = std::move(verify)]() mutable -> Landing {
+    // Pool thread: only the self-contained verifier runs here.
+    return [this, senders = std::move(senders), result = verify()](
+               RecoveryState& s, bft::ReplicaContext&) mutable {
+      auto& st = static_cast<State&>(s);
+      Recovered out;
+      for (std::size_t i = 0; i < result.shares.size(); ++i) {
+        if (result.verdicts[i]) {
+          st.valid.push_back(std::move(result.shares[i]));
+          m_.shares_verified->inc();
+        } else {
+          m_.shares_rejected->inc();
+          out.rejected.push_back(senders[i]);
+        }
+      }
+      if (!out.rejected.empty() || result.fallback_splits > 0) {
+        m_.batch_fallbacks->inc();
+      }
+      return out;
+    };
+  };
+}
+
+std::optional<std::vector<Bytes>> Cp0Scheme::finish(RecoveryState& s,
+                                                    BytesView payload,
+                                                    const RequestId& id,
+                                                    bft::ReplicaContext& ctx) {
+  const auto& st = static_cast<State&>(s);
+  if (st.valid.size() < backend_->threshold()) return std::nullopt;
   // The Lagrange combination only touches the KEM, so batches pay the
   // single-envelope combine price; opening the per-payload boxes is then
   // charged as plain AEAD work.
-  ctx.charge(Op::kTdh2Combine,
-             p.count > 1 ? 1024 : p.ciphertext.size());
-  if (p.count > 1) ctx.charge(Op::kAeadOpen, p.ciphertext.size());
-  // The ciphertext was verified before our own share was produced (see
-  // on_deliver), so combination skips the redundant proof check.
-  auto plaintexts = backend_->combine_batch_preverified(p.ciphertext,
-                                                        id.encode(), label,
-                                                        p.valid);
-  if (!plaintexts) return;  // need more shares (shouldn't happen: verified)
-  p.revealed = true;
-  p.plaintexts = std::move(*plaintexts);
-  m_.combines->inc();
-  m_.reveal_ns->record(ctx.now() - p.delivered_at);
-  // Pipelining depth: how many delivered slots are waiting behind this
-  // reveal (their share collection ran concurrently with ours).
-  m_.inflight_slots->record(exec_queue_.size());
-  tracer_->record(p.client, p.client_seq, obs::Phase::kRevealed, ctx.now());
-  drain_execution(ctx);
+  ctx.charge(Op::kTdh2Combine, st.count > 1 ? 1024 : payload.size());
+  if (st.count > 1) ctx.charge(Op::kAeadOpen, payload.size());
+  // The ciphertext was verified before our own share was produced, so the
+  // combination skips the redundant proof check.
+  return backend_->combine_batch_preverified(payload, id.encode(), st.label,
+                                             st.valid);
 }
 
-void Cp0ReplicaApp::drain_execution(bft::ReplicaContext& ctx) {
-  while (!exec_queue_.empty()) {
-    const RequestId id = exec_queue_.front();
-    auto it = pending_.find(id);
-    if (it == pending_.end()) {
-      exec_queue_.pop_front();
-      continue;
-    }
-    PendingReveal& p = it->second;
-    if (!p.revealed) return;  // total order: block on the oldest reveal
-    // Durable execution marker (DESIGN.md §13): logged before the service
-    // runs so a post-crash replay applies the operation from the record
-    // instead of re-running the reveal.  Plaintext logging is safe here —
-    // secrecy only holds until the schedule step commits, and this request
-    // was revealed by a correct quorum already.
-    {
-      Writer w;
-      id.write(w);
-      w.u32(p.count);
-      w.u32(static_cast<uint32_t>(p.plaintexts.size()));
-      for (const Bytes& pt : p.plaintexts) w.bytes(pt);
-      const Bytes rec = std::move(w).take();
-      ctx.wal_append(rec);
-    }
-    // Every payload in the envelope executes in its batch position; the
-    // reply frames the per-payload results for count > 1 and stays the raw
-    // result (bit-identical to the unbatched path) for count == 1.
-    Bytes result;
-    if (p.count <= 1 && p.plaintexts.size() == 1) {
-      ctx.charge(Op::kExecute, p.plaintexts[0].size());
-      result = service_->execute(p.client, p.plaintexts[0]);
-    } else {
-      std::vector<Bytes> results;
-      results.reserve(p.plaintexts.size());
-      for (const Bytes& plaintext : p.plaintexts) {
-        ctx.charge(Op::kExecute, plaintext.size());
-        results.push_back(service_->execute(p.client, plaintext));
-      }
-      result = bft::encode_op_batch(results);
-    }
-    ctx.send_reply(p.client, p.client_seq, std::move(result));
-    completed_.insert(id);
-    if (!p.own_share_wire.empty()) {
-      if (completed_shares_.size() >= kMaxCompletedShareCache) {
-        completed_shares_.erase(completed_shares_order_.front());
-        completed_shares_order_.pop_front();
-      }
-      completed_shares_order_.push_back(id);
-      completed_shares_.emplace(id, std::move(p.own_share_wire));
-    }
-    pending_.erase(it);
-    exec_queue_.pop_front();
-  }
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-}
-
-// ---------------------------------------------------------------------------
-// Cp0ReplicaApp durability (DESIGN.md §13)
-
-namespace {
-constexpr uint32_t kCp0StateVersion = 1;
-}  // namespace
-
-Bytes Cp0ReplicaApp::serialize_state(bft::ReplicaContext& /*ctx*/) {
+Bytes Cp0Scheme::seal(NodeId /*to*/, const RequestId& id, BytesView wire,
+                      bft::ReplicaContext& /*ctx*/) {
   Writer w;
-  w.u32(kCp0StateVersion);
-  w.bytes(service_->serialize());
-  // Completed set, sorted for a deterministic blob (the map iteration order
-  // is not).  Transient reveal state — unverified shares, in-flight verify
-  // jobs, cached validate_request verdicts, early stashes — is deliberately
-  // dropped: the retry protocol rebuilds all of it.
-  std::vector<RequestId> completed(completed_.begin(), completed_.end());
-  std::sort(completed.begin(), completed.end());
-  w.u32(static_cast<uint32_t>(completed.size()));
-  for (const RequestId& id : completed) id.write(w);
-  // Completed own-share cache, FIFO order preserved so post-restore
-  // eviction continues where it left off.
-  w.u32(static_cast<uint32_t>(completed_shares_order_.size()));
-  for (const RequestId& id : completed_shares_order_) {
-    id.write(w);
-    auto it = completed_shares_.find(id);
-    w.bytes(it != completed_shares_.end() ? BytesView(it->second)
-                                          : BytesView{});
-  }
-  w.u32(static_cast<uint32_t>(exec_queue_.size()));
-  for (const RequestId& id : exec_queue_) id.write(w);
-  std::vector<RequestId> pend;
-  pend.reserve(pending_.size());
-  for (const auto& [id, p] : pending_) pend.push_back(id);
-  std::sort(pend.begin(), pend.end());
-  w.u32(static_cast<uint32_t>(pend.size()));
-  for (const RequestId& id : pend) {
-    const PendingReveal& p = pending_.at(id);
-    id.write(w);
-    w.bytes(p.ciphertext);
-    w.bytes(p.label);
-    w.u32(p.count);
-    w.u32(p.client);
-    w.u64(p.client_seq);
-    w.u8(p.delivered ? 1 : 0);
-    w.u8(p.revealed ? 1 : 0);
-    w.u32(static_cast<uint32_t>(p.plaintexts.size()));
-    for (const Bytes& pt : p.plaintexts) w.bytes(pt);
-    w.bytes(p.own_share_wire);
-  }
+  id.write(w);
+  w.bytes(wire);
   return std::move(w).take();
 }
 
-bool Cp0ReplicaApp::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
-  if (blob.empty()) return true;
-  bind_metrics(ctx);
-  Reader r(blob);
-  if (r.u32() != kCp0StateVersion) return false;
-  const Bytes service_blob = r.bytes();
-  std::unordered_set<RequestId> completed;
-  const uint32_t n_completed = r.u32();
-  for (uint32_t i = 0; i < n_completed && r.ok(); ++i) {
-    completed.insert(RequestId::read(r));
-  }
-  std::unordered_map<RequestId, Bytes> completed_shares;
-  std::deque<RequestId> completed_order;
-  const uint32_t n_shares = r.u32();
-  for (uint32_t i = 0; i < n_shares && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    Bytes wire = r.bytes();
-    completed_order.push_back(id);
-    completed_shares.emplace(id, std::move(wire));
-  }
-  std::deque<RequestId> exec_queue;
-  const uint32_t n_queue = r.u32();
-  for (uint32_t i = 0; i < n_queue && r.ok(); ++i) {
-    exec_queue.push_back(RequestId::read(r));
-  }
-  std::unordered_map<RequestId, PendingReveal> pending;
-  const uint32_t n_pending = r.u32();
-  for (uint32_t i = 0; i < n_pending && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    PendingReveal p;
-    p.ciphertext = r.bytes();
-    p.label = r.bytes();
-    p.count = r.u32();
-    p.client = r.u32();
-    p.client_seq = r.u64();
-    p.delivered = r.u8() != 0;
-    p.revealed = r.u8() != 0;
-    const uint32_t n_pt = r.u32();
-    for (uint32_t j = 0; j < n_pt && r.ok(); ++j) {
-      p.plaintexts.push_back(r.bytes());
-    }
-    p.own_share_wire = r.bytes();
-    p.delivered_at = ctx.now();
-    pending.emplace(id, std::move(p));
-  }
-  if (!r.ok() || !r.done()) return false;
-  if (!service_->restore(service_blob)) return false;
-  completed_ = std::move(completed);
-  completed_shares_ = std::move(completed_shares);
-  completed_shares_order_ = std::move(completed_order);
-  exec_queue_ = std::move(exec_queue);
-  pending_ = std::move(pending);
-  // Restart the reveal machinery for everything in flight: our own share
-  // counts again immediately; the retry timer re-broadcasts it and
-  // re-requests the peers' shares once the node is live.
-  for (auto& [id, p] : pending_) {
-    if (!p.delivered || p.revealed) continue;
-    if (!p.own_share_wire.empty()) {
-      p.valid_from.insert(ctx.id());
-      p.valid.push_back(p.own_share_wire);
-    }
-    arm_reveal_retry(id, 0, ctx);
-  }
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-  return true;
+std::optional<std::pair<RequestId, Bytes>> Cp0Scheme::open(
+    NodeId /*from*/, BytesView body, bft::ReplicaContext& /*ctx*/) {
+  Reader r(body);
+  const RequestId id = RequestId::read(r);
+  Bytes share = r.bytes();
+  if (!r.done()) return std::nullopt;
+  return std::make_pair(id, std::move(share));
 }
 
-void Cp0ReplicaApp::on_wal_record(BytesView record, bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  Reader r(record);
-  const RequestId id = RequestId::read(r);
-  const uint32_t count = r.u32();
-  const uint32_t n = r.u32();
-  std::vector<Bytes> plaintexts;
-  for (uint32_t i = 0; i < n && r.ok(); ++i) plaintexts.push_back(r.bytes());
-  if (!r.ok() || !r.done() || plaintexts.size() != n) return;
-  // Pre-snapshot tails can survive a torn snapshot/truncate window; the
-  // completed set (restored from the snapshot) makes them no-ops.
-  if (completed_.contains(id)) return;
-  Bytes result;
-  if (count <= 1 && plaintexts.size() == 1) {
-    ctx.charge(Op::kExecute, plaintexts[0].size());
-    result = service_->execute(id.client, plaintexts[0]);
-  } else {
-    std::vector<Bytes> results;
-    results.reserve(plaintexts.size());
-    for (const Bytes& pt : plaintexts) {
-      ctx.charge(Op::kExecute, pt.size());
-      results.push_back(service_->execute(id.client, pt));
-    }
-    result = bft::encode_op_batch(results);
-  }
-  // The reply goes nowhere while the node is shielded during replay; a
-  // client still waiting will retransmit and hit the reply cache.
-  ctx.send_reply(id.client, id.seq, std::move(result));
-  completed_.insert(id);
-  if (auto it = pending_.find(id); it != pending_.end()) {
-    if (!it->second.own_share_wire.empty()) {
-      if (completed_shares_.size() >= kMaxCompletedShareCache) {
-        completed_shares_.erase(completed_shares_order_.front());
-        completed_shares_order_.pop_front();
-      }
-      completed_shares_order_.push_back(id);
-      completed_shares_.emplace(id, std::move(it->second.own_share_wire));
-    }
-    pending_.erase(it);
-  }
-  std::erase(exec_queue_, id);
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
+Bytes Cp0Scheme::corrupt(Bytes wire) const {
+  for (std::size_t i = 0; i < wire.size(); i += 7) wire[i] ^= 0xa5;
+  return wire;
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@
 // collected f+1 valid shares combines, executes, and replies.  Execution of
 // slot s blocks until every request in it is recovered, preserving total
 // order and the CKPS rule that a correct replica never runs two schedule or
-// two reveal steps back-to-back for a request.
+// two reveal steps back-to-back for a request.  The reveal step itself runs
+// in the shared RevealEngine (causal/reveal.h); Cp0Scheme below supplies
+// the TDH2 share scheme.
 //
 // The threshold cryptosystem itself sits behind Cp0Backend so that the
 // throughput benchmarks can swap the real TDH2 implementation for a
@@ -16,24 +18,23 @@
 // Latency benchmarks and tests use the real backend.
 #pragma once
 
-#include <deque>
-#include <map>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "bft/app.h"
 #include "bft/client.h"
-#include "causal/id.h"
-#include "causal/service.h"
+#include "causal/reveal.h"
 #include "threshenc/hybrid.h"
 
 namespace scab::causal {
 
-/// Abstracts the (t, n) labeled threshold cryptosystem used by CP0.
-/// All byte-level objects are opaque wires produced and consumed by the
-/// same backend type.  Costs are charged by the caller via ctx.charge, so a
-/// modeled backend has the same virtual-time behaviour as the real one.
+/// Abstracts the (t, n) labeled threshold cryptosystem used by CP0 — only
+/// what CP0 calls.  All byte-level objects are opaque wires produced and
+/// consumed by the same backend type.  Costs are charged by the caller via
+/// ctx.charge, so a modeled backend has the same virtual-time behaviour as
+/// the real one.
+///
+/// Batched envelopes (DESIGN.md §10): a batched wire packs N payloads under
+/// ONE KEM header, so every reveal-path entry point runs once per BATCH,
+/// under the full reveal label.  Single-payload wires are the batch of one.
 class Cp0Backend {
  public:
   virtual ~Cp0Backend() = default;
@@ -41,27 +42,23 @@ class Cp0Backend {
   /// Client: encrypt `message` bound to `label`.
   virtual Bytes encrypt(BytesView message, BytesView label,
                         crypto::Drbg& rng) = 0;
+  /// Client: encrypt `messages` under one amortized header bound to
+  /// `prefix`.  A batch of one MUST be bit-identical to encrypt().
+  virtual Bytes encrypt_batch(const std::vector<Bytes>& messages,
+                              BytesView prefix, crypto::Drbg& rng) = 0;
   /// Anyone: publicly verify a ciphertext (including label binding).
   virtual bool verify_ciphertext(BytesView ct, BytesView label) = 0;
-  /// Replica `index` (1-based): produce its decryption share.
-  virtual std::optional<Bytes> decryption_share(uint32_t index, BytesView ct,
-                                                BytesView label,
-                                                crypto::Drbg& rng) = 0;
-  /// Anyone: verify one decryption share.
-  virtual bool verify_share(BytesView ct, BytesView label, BytesView share) = 0;
-  /// Verify a batch of decryption shares for ONE ciphertext; returns one
-  /// verdict per share (1 = valid), in order.  If `fallback_splits` is
-  /// non-null it receives how many bisection splits the batch needed
-  /// (0 = the whole batch passed a single merged equation).  The default
-  /// loops verify_share — semantically identical, no amortization; the real
-  /// backend overrides it with randomized batch verification.
-  virtual std::vector<uint8_t> batch_verify_shares(
-      BytesView ct, BytesView label, const std::vector<Bytes>& shares,
-      crypto::Drbg& rng, uint32_t* fallback_splits = nullptr);
-  /// Combine >= threshold valid shares into the plaintext.
-  virtual std::optional<Bytes> combine(BytesView ct, BytesView label,
-                                       const std::vector<Bytes>& shares) = 0;
-  virtual uint32_t threshold() const = 0;
+  /// Number of payloads inside `ct` (1 for single/unrecognized wires).
+  virtual uint32_t batch_count(BytesView ct) = 0;
+  /// The label the reveal path must use: `prefix` (= RequestId::encode())
+  /// for single wires, prefix || batch digest for batched wires.
+  virtual Bytes reveal_label(BytesView ct, BytesView prefix) = 0;
+
+  /// Replica `index` (1-based): its decryption share for a ciphertext the
+  /// caller ALREADY verified (CP0 verifies once, at admission or delivery,
+  /// so the reveal step does not pay the proof check again).
+  virtual std::optional<Bytes> decryption_share_preverified(
+      uint32_t index, BytesView ct, BytesView label, crypto::Drbg& rng) = 0;
 
   /// Result of an offloaded batch-share verification: the input wires
   /// travel through the job (moved, not copied) so the caller can adopt
@@ -69,72 +66,28 @@ class Cp0Backend {
   struct BatchVerifyResult {
     std::vector<Bytes> shares;
     std::vector<uint8_t> verdicts;  // one per share, 1 = valid
+    // Bisection splits the batch needed (0 = one merged equation passed).
     uint32_t fallback_splits = 0;
   };
-  /// Packages batch_verify_shares as a self-contained callable safe to run
-  /// on a worker-pool thread (host/worker_pool.h): inputs are copied in,
-  /// `rng` is forked, and the returned job touches no backend mutable
-  /// state.  The base version closes over `this` and is pool-safe only for
-  /// stateless backends (the modeled one qualifies); RealTdh2Backend
-  /// overrides it to resolve its parsed-ciphertext LRU up front on the
-  /// protocol thread.
+  /// Randomized batch verification of shares for ONE ciphertext, packaged
+  /// as a self-contained job safe to run on a worker-pool thread
+  /// (host/worker_pool.h): anything stateful (caches, the rng fork) is
+  /// resolved here on the calling thread, and the job touches no backend
+  /// state.
   virtual std::function<BatchVerifyResult()> make_batch_share_verifier(
       BytesView ct, BytesView label, std::vector<Bytes> shares,
-      crypto::Drbg& rng);
-
-  /// Reveal-pipeline variants for a ciphertext the caller has ALREADY
-  /// verified (CP0 verifies once at request admission, so the reveal step
-  /// must not pay the proof check again — and again at combine).  Defaults
-  /// delegate to the checked versions; the real backend overrides them.
-  virtual std::optional<Bytes> decryption_share_preverified(uint32_t index,
-                                                            BytesView ct,
-                                                            BytesView label,
-                                                            crypto::Drbg& rng) {
-    return decryption_share(index, ct, label, rng);
-  }
-  virtual std::optional<Bytes> combine_preverified(
-      BytesView ct, BytesView label, const std::vector<Bytes>& shares) {
-    return combine(ct, label, shares);
-  }
+      crypto::Drbg& rng) = 0;
+  /// Combine >= threshold verified shares and open EVERY payload (all or
+  /// nothing).  `full_label` is the reveal_label() result; `prefix` the
+  /// RequestId part of it.
+  virtual std::optional<std::vector<Bytes>> combine_batch_preverified(
+      BytesView ct, BytesView prefix, BytesView full_label,
+      const std::vector<Bytes>& shares) = 0;
+  virtual uint32_t threshold() const = 0;
 
   /// Lets the backend register its own instruments (cache hit rates etc.)
   /// next to the protocol's cp0.* metrics.  Default: none.
   virtual void bind_metrics(obs::MetricsRegistry& /*registry*/) {}
-
-  // --- batched envelopes (DESIGN.md §10) -----------------------------------
-  // A batched wire packs N payloads under ONE KEM header; every reveal-path
-  // entry point above then runs once per BATCH instead of once per payload,
-  // using the full reveal label below.  The defaults treat every wire as a
-  // single-payload envelope, so backends without a batch format keep their
-  // exact pre-batching behaviour.
-
-  /// Number of payloads inside `ct` (1 for single/unrecognized wires).
-  virtual uint32_t batch_count(BytesView /*ct*/) { return 1; }
-  /// The label the reveal path must use: `prefix` (= RequestId::encode())
-  /// for single wires, prefix || batch digest for batched wires.
-  virtual Bytes reveal_label(BytesView /*ct*/, BytesView prefix) {
-    return Bytes(prefix.begin(), prefix.end());
-  }
-  /// Client: encrypt `messages` under one amortized header bound to
-  /// `prefix`.  A batch of one MUST be bit-identical to encrypt().  The
-  /// default handles only that degenerate case (no batch wire format).
-  virtual Bytes encrypt_batch(const std::vector<Bytes>& messages,
-                              BytesView prefix, crypto::Drbg& rng) {
-    return messages.size() == 1 ? encrypt(messages[0], prefix, rng) : Bytes{};
-  }
-  /// Combine >= threshold preverified shares and open EVERY payload (all or
-  /// nothing); single wires return a one-element vector.  `full_label` is
-  /// the reveal_label() result; `prefix` the RequestId part of it.
-  virtual std::optional<std::vector<Bytes>> combine_batch_preverified(
-      BytesView ct, BytesView prefix, BytesView full_label,
-      const std::vector<Bytes>& shares) {
-    (void)prefix;
-    auto one = combine_preverified(ct, full_label, shares);
-    if (!one) return std::nullopt;
-    std::vector<Bytes> out;
-    out.push_back(std::move(*one));
-    return out;
-  }
 };
 
 /// The real thing: hybrid TDH2 (see threshenc/).
@@ -145,34 +98,23 @@ class RealTdh2Backend : public Cp0Backend {
       : pk_(std::move(pk)), my_key_(std::move(my_key)) {}
 
   Bytes encrypt(BytesView message, BytesView label, crypto::Drbg& rng) override;
+  Bytes encrypt_batch(const std::vector<Bytes>& messages, BytesView prefix,
+                      crypto::Drbg& rng) override;
   bool verify_ciphertext(BytesView ct, BytesView label) override;
-  std::optional<Bytes> decryption_share(uint32_t index, BytesView ct,
-                                        BytesView label,
-                                        crypto::Drbg& rng) override;
-  bool verify_share(BytesView ct, BytesView label, BytesView share) override;
-  std::vector<uint8_t> batch_verify_shares(
-      BytesView ct, BytesView label, const std::vector<Bytes>& shares,
-      crypto::Drbg& rng, uint32_t* fallback_splits = nullptr) override;
-  std::function<BatchVerifyResult()> make_batch_share_verifier(
-      BytesView ct, BytesView label, std::vector<Bytes> shares,
-      crypto::Drbg& rng) override;
-  std::optional<Bytes> combine(BytesView ct, BytesView label,
-                               const std::vector<Bytes>& shares) override;
+  uint32_t batch_count(BytesView ct) override;
+  Bytes reveal_label(BytesView ct, BytesView prefix) override;
   std::optional<Bytes> decryption_share_preverified(uint32_t index,
                                                     BytesView ct,
                                                     BytesView label,
                                                     crypto::Drbg& rng) override;
-  std::optional<Bytes> combine_preverified(
-      BytesView ct, BytesView label, const std::vector<Bytes>& shares) override;
-  uint32_t threshold() const override { return pk_.threshold; }
-  void bind_metrics(obs::MetricsRegistry& registry) override;
-  uint32_t batch_count(BytesView ct) override;
-  Bytes reveal_label(BytesView ct, BytesView prefix) override;
-  Bytes encrypt_batch(const std::vector<Bytes>& messages, BytesView prefix,
-                      crypto::Drbg& rng) override;
+  std::function<BatchVerifyResult()> make_batch_share_verifier(
+      BytesView ct, BytesView label, std::vector<Bytes> shares,
+      crypto::Drbg& rng) override;
   std::optional<std::vector<Bytes>> combine_batch_preverified(
       BytesView ct, BytesView prefix, BytesView full_label,
       const std::vector<Bytes>& shares) override;
+  uint32_t threshold() const override { return pk_.threshold; }
+  void bind_metrics(obs::MetricsRegistry& registry) override;
 
   /// Parsed-ciphertext LRU capacity.  CP0 parses the SAME wire ciphertext
   /// in verify_ciphertext, share_decrypt, every share verification, and
@@ -195,10 +137,6 @@ class RealTdh2Backend : public Cp0Backend {
   /// batched, discriminated by the wire magic); parses (and caches) on
   /// miss, returns nullptr for malformed wires (not cached).
   const ParsedWire* parsed_ct(BytesView ct);
-  /// Shared tail of the preverified combines: shares -> KEM seed.
-  std::optional<Bytes> combine_seed_preverified(const ParsedWire& parsed,
-                                                const std::vector<Bytes>& shares);
-
   threshenc::Tdh2PublicKey pk_;
   std::optional<threshenc::Tdh2KeyShare> my_key_;
 
@@ -226,27 +164,22 @@ class ModeledThresholdBackend : public Cp0Backend {
       : threshold_(threshold), servers_(servers) {}
 
   Bytes encrypt(BytesView message, BytesView label, crypto::Drbg& rng) override;
+  Bytes encrypt_batch(const std::vector<Bytes>& messages, BytesView prefix,
+                      crypto::Drbg& rng) override;
   bool verify_ciphertext(BytesView ct, BytesView label) override;
-  std::optional<Bytes> decryption_share(uint32_t index, BytesView ct,
-                                        BytesView label,
-                                        crypto::Drbg& rng) override;
-  bool verify_share(BytesView ct, BytesView label, BytesView share) override;
-  std::optional<Bytes> combine(BytesView ct, BytesView label,
-                               const std::vector<Bytes>& shares) override;
+  uint32_t batch_count(BytesView ct) override;
+  Bytes reveal_label(BytesView ct, BytesView prefix) override;
   std::optional<Bytes> decryption_share_preverified(uint32_t index,
                                                     BytesView ct,
                                                     BytesView label,
                                                     crypto::Drbg& rng) override;
-  std::optional<Bytes> combine_preverified(
-      BytesView ct, BytesView label, const std::vector<Bytes>& shares) override;
-  uint32_t threshold() const override { return threshold_; }
-  uint32_t batch_count(BytesView ct) override;
-  Bytes reveal_label(BytesView ct, BytesView prefix) override;
-  Bytes encrypt_batch(const std::vector<Bytes>& messages, BytesView prefix,
-                      crypto::Drbg& rng) override;
+  std::function<BatchVerifyResult()> make_batch_share_verifier(
+      BytesView ct, BytesView label, std::vector<Bytes> shares,
+      crypto::Drbg& rng) override;
   std::optional<std::vector<Bytes>> combine_batch_preverified(
       BytesView ct, BytesView prefix, BytesView full_label,
       const std::vector<Bytes>& shares) override;
+  uint32_t threshold() const override { return threshold_; }
 
  private:
   uint32_t threshold_;
@@ -255,136 +188,67 @@ class ModeledThresholdBackend : public Cp0Backend {
 
 // ---------------------------------------------------------------------------
 
-class Cp0ReplicaApp : public bft::ReplicaApp {
+/// CP0's share scheme for the reveal engine (causal/reveal.h): TDH2
+/// decryption shares, public (the same body to every peer), made by the
+/// replica at delivery and counted valid at once; peers' shares accumulate
+/// until they can reach the f+1 threshold, then go through ONE randomized
+/// batch verification on the worker pool before the combine.
+class Cp0Scheme : public RevealScheme {
  public:
-  Cp0ReplicaApp(std::unique_ptr<Service> service,
-                std::unique_ptr<Cp0Backend> backend)
-      : service_(std::move(service)), backend_(std::move(backend)) {}
+  explicit Cp0Scheme(std::unique_ptr<Cp0Backend> backend);
 
-  /// Table IV's fault model: this replica contributes garbage decryption
-  /// shares (it stays otherwise protocol-compliant).
-  void set_corrupt_shares(bool corrupt) { corrupt_shares_ = corrupt; }
-
-  bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
-                        bft::ReplicaContext& ctx) override;
-  void on_deliver(uint64_t seq, const bft::Request& req,
-                  bft::ReplicaContext& ctx) override;
-  void on_causal_message(bft::NodeId from, BytesView body,
-                         bft::ReplicaContext& ctx) override;
-
-  // Durability (DESIGN.md §13): the snapshot blob carries the service state
-  // plus the reveal-layer state (completed set, pending reveals with their
-  // plaintexts/own shares); every execution also logs a WAL record so a
-  // post-crash replay re-applies the operation without re-running the
-  // reveal (the peers' shares are gone by then).
-  Bytes serialize_state(bft::ReplicaContext& ctx) override;
-  bool restore_state(BytesView blob, bft::ReplicaContext& ctx) override;
-  void on_wal_record(BytesView record, bft::ReplicaContext& ctx) override;
-
-  Service& service() { return *service_; }
-
-  /// Diagnostics/tests: number of reveal entries in flight (all correspond
-  /// to delivered requests) and of stashed pre-delivery shares.
-  std::size_t pending_count() const { return pending_.size(); }
-  std::size_t early_share_count() const;
-
-  /// Per-sender cap on shares stashed before their request is delivered; a
-  /// Byzantine replica naming made-up RequestIds can occupy at most this
-  /// much state per sender.
-  static constexpr std::size_t kMaxEarlySharesPerSender = 32;
   /// Cap on remembered validate_request verdicts awaiting delivery.
   static constexpr std::size_t kMaxValidatedCache = 1024;
-  /// Cap on own-share wires kept after execution so a restarted peer
-  /// re-collecting shares for old requests can still be answered.
-  static constexpr std::size_t kMaxCompletedShareCache = 1024;
-  /// Reveal-retry schedule: if a delivered request is still unrevealed
-  /// after base << min(attempt, 4), rebroadcast our share and re-request
-  /// everyone else's.  The base sits above the WAN reveal round-trip so the
-  /// happy path never retries.
-  static constexpr host::Time kRevealRetryBase = 500'000'000;  // 500 ms
-  static constexpr uint32_t kMaxRevealRetries = 8;
+
+  void bind_metrics(obs::MetricsRegistry& reg) override;
+  bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
+                        bft::ReplicaContext& ctx) override;
+  std::unique_ptr<RecoveryState> admit(const RequestId& id, BytesView payload,
+                                       Bytes& own,
+                                       bft::ReplicaContext& ctx) override;
+  std::unique_ptr<RecoveryState> resume(const RequestId& id,
+                                        BytesView payload) override;
+  std::size_t start(RecoveryState& st, BytesView payload, const Bytes& own,
+                    std::vector<Share>& backlog,
+                    bft::ReplicaContext& ctx) override;
+  bool ready(const RecoveryState& st, std::size_t backlog) const override;
+  RecoverJob recover(RecoveryState& st, BytesView payload,
+                     std::vector<Share> batch,
+                     bft::ReplicaContext& ctx) override;
+  std::optional<std::vector<Bytes>> finish(RecoveryState& st, BytesView payload,
+                                           const RequestId& id,
+                                           bft::ReplicaContext& ctx) override;
+  Bytes seal(bft::NodeId to, const RequestId& id, BytesView wire,
+             bft::ReplicaContext& ctx) override;
+  std::optional<std::pair<RequestId, Bytes>> open(
+      bft::NodeId from, BytesView body, bft::ReplicaContext& ctx) override;
+  Bytes corrupt(Bytes wire) const override;
 
  private:
-  struct PendingReveal {
-    Bytes ciphertext;  // empty until the schedule step committed
-    Bytes label;       // full reveal label (id prefix || batch digest)
+  struct State : RecoveryState {
+    Bytes label;         // full reveal label (id prefix || batch digest)
     uint32_t count = 1;  // payloads inside the envelope
-    bft::NodeId client = 0;
-    uint64_t client_seq = 0;
-    std::map<bft::NodeId, Bytes> unverified;  // sender -> share wire
-    std::set<bft::NodeId> valid_from;
-    std::vector<Bytes> valid;
-    bool delivered = false;
-    bool revealed = false;
-    // A batch-share verification job is in flight on the worker pool; new
-    // shares keep accumulating in `unverified` and flush when it lands.
-    bool verify_inflight = false;
-    host::Time delivered_at = 0;  // reveal-round duration measurement
-    std::vector<Bytes> plaintexts;  // one per payload, execution order
-    Bytes own_share_wire;  // uncorrupted; serves re-requests
+    std::vector<Bytes> valid;  // verified shares (our own counted at once)
   };
+  std::unique_ptr<State> make_state(BytesView payload, const RequestId& id);
 
-  void try_reveal(const RequestId& id, bft::ReplicaContext& ctx);
-  void drain_execution(bft::ReplicaContext& ctx);
-  void answer_share_request(const RequestId& id, bft::NodeId from,
-                            bft::ReplicaContext& ctx);
-  void arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                        bft::ReplicaContext& ctx);
-  Bytes corrupted_if_faulty(const Bytes& wire) const;
-  // Resolves "cp0." instrument handles from the context's registry on first
-  // use (the app does not know its replica at construction time).
-  void bind_metrics(bft::ReplicaContext& ctx);
-
-  std::unique_ptr<Service> service_;
   std::unique_ptr<Cp0Backend> backend_;
-  bool corrupt_shares_ = false;
-
-  std::unordered_map<RequestId, PendingReveal> pending_;
-  std::unordered_set<RequestId> completed_;
-  // Execution queue: requests execute in delivery order, each blocking on
-  // its reveal (the CKPS schedule/reveal alternation).
-  std::deque<RequestId> exec_queue_;
   // RequestIds this replica verified at validate_request time (payload
-  // digest), letting on_deliver take the preverified reveal path when PBFT
-  // delivers the same bytes.  Bounded FIFO-ish: entries are erased at
-  // delivery; overflow evicts arbitrarily (worst case: one extra verify).
+  // digest), letting delivery skip the proof check when PBFT delivers the
+  // same bytes.  Entries are erased at delivery; overflow evicts
+  // arbitrarily (worst case: one extra verify).
   std::unordered_map<RequestId, Bytes> validated_;
-  // Shares that arrived before their request was delivered, bounded per
-  // sender (kMaxEarlySharesPerSender) so Byzantine peers cannot grow
-  // protocol state with shares for requests that never existed.
-  std::map<bft::NodeId, std::deque<std::pair<RequestId, Bytes>>> early_shares_;
-  // Own-share wires of executed requests (bounded FIFO): a replica that
-  // crashed and restarted re-delivers old requests with empty reveal state
-  // and re-requests shares its peers already consumed; answering from this
-  // cache is what lets it catch up past them.
-  std::unordered_map<RequestId, Bytes> completed_shares_;
-  std::deque<RequestId> completed_shares_order_;
 
   struct {
     obs::Counter* ct_verified = nullptr;
     obs::Counter* ct_rejected = nullptr;
     obs::Counter* shares_verified = nullptr;
     obs::Counter* shares_rejected = nullptr;
-    obs::Counter* combines = nullptr;
-    obs::Counter* early_stashed = nullptr;
     // Batches that needed the fallback (a bisection split or a rejected
     // share): a Byzantine share inside a batch always surfaces here.
     obs::Counter* batch_fallbacks = nullptr;
-    obs::Counter* reveal_retries = nullptr;
-    obs::Counter* share_rerequests_answered = nullptr;
-    // Shares arriving after their request already executed: dropped on the
-    // floor (bounded), never re-queued into pending_.
-    obs::Counter* late_shares_dropped = nullptr;
-    obs::Histogram* batch_size = nullptr;  // shares per batch flush
     obs::Histogram* envelope_payloads = nullptr;  // payloads per envelope
-    obs::Histogram* reveal_ns = nullptr;  // delivery -> plaintext recovered
-    // Reveal-pipelining depth: delivered-but-unexecuted slots observed each
-    // time a reveal completes (collection for slot s+1 overlapping s).
-    obs::Histogram* inflight_slots = nullptr;
-    obs::Gauge* pending = nullptr;
-    obs::Gauge* early_shares = nullptr;
   } m_;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 class Cp0ClientProtocol : public bft::ClientProtocol {

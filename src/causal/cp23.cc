@@ -1,19 +1,18 @@
 #include "causal/cp23.h"
 
-#include <algorithm>
-
 #include "crypto/aead.h"
+#include "secretshare/arss.h"
 
 namespace scab::causal {
 
 using bft::NodeId;
+using host::Op;
 using secretshare::Arss1Share;
 using secretshare::ShamirShare;
-using host::Op;
 
-// ---------------------------------------------------------------------------
-// Private-channel share envelopes
+namespace {
 
+// Private-channel share envelope from -> to, bound to the ID.
 Bytes seal_share(const bft::KeyRing& keys, NodeId from, NodeId to,
                  const RequestId& id, BytesView share_wire, crypto::Drbg& rng) {
   Writer w;
@@ -23,531 +22,191 @@ Bytes seal_share(const bft::KeyRing& keys, NodeId from, NodeId to,
   return std::move(w).take();
 }
 
-std::optional<std::pair<RequestId, Bytes>> open_share(const bft::KeyRing& keys,
-                                                      NodeId self, NodeId from,
-                                                      BytesView body) {
+// CP2's schedule payload: bytes(c).
+std::optional<Bytes> parse_commitment(BytesView payload) {
+  Reader r(payload);
+  Bytes c = r.bytes();
+  if (!r.done()) return std::nullopt;
+  return c;
+}
+
+}  // namespace
+
+/// ARSS1 or ARSS2 behind one feed.
+struct ArssScheme::Reconstructor {
+  std::optional<secretshare::Arss1Reconstructor> arss1;
+  std::optional<secretshare::Arss2Reconstructor> arss2;
+
+  std::size_t attempts() const {
+    return arss1 ? arss1->attempts() : arss2->attempts();
+  }
+  /// Feeds one share wire (unparseable ones are skipped); `len` receives
+  /// its secret length.
+  std::optional<Bytes> add(BytesView wire, std::size_t& len) {
+    if (arss1) {
+      const auto share = Arss1Share::parse(wire);
+      if (!share) return std::nullopt;
+      len = share->inner.secret_len;
+      return arss1->add(*share);
+    }
+    const auto share = ShamirShare::parse(wire);
+    if (!share) return std::nullopt;
+    len = share->secret_len;
+    return arss2->add(*share);
+  }
+};
+
+ArssScheme::ArssScheme(std::optional<crypto::Commitment> commitment)
+    : RevealScheme({.prefix = commitment ? "cp2" : "cp3",
+                    .flush_histogram = "batch_size",
+                    .recovered_counter = "reconstructions",
+                    .client_deals = true,
+                    .restart_on_restore = true}),
+      commitment_(std::move(commitment)) {}
+
+void ArssScheme::bind_metrics(obs::MetricsRegistry& reg) {
+  recovery_attempts_ =
+      &reg.counter(std::string(traits.prefix) + ".recovery_attempts");
+}
+
+bool ArssScheme::validate_request(NodeId /*client*/,
+                                  const bft::ClientRequestMsg& msg,
+                                  bft::ReplicaContext& /*ctx*/) {
+  if (!commitment_) return msg.payload.empty();  // CP3 agrees on the ID alone
+  const auto c = parse_commitment(msg.payload);
+  return c && !c->empty();
+}
+
+std::unique_ptr<RecoveryState> ArssScheme::admit(const RequestId& id,
+                                                 BytesView payload,
+                                                 Bytes& /*own*/,
+                                                 bft::ReplicaContext& /*ctx*/) {
+  return resume(id, payload);
+}
+
+std::unique_ptr<RecoveryState> ArssScheme::resume(const RequestId& /*id*/,
+                                                  BytesView payload) {
+  if (commitment_ && !parse_commitment(payload)) return nullptr;
+  return std::make_unique<State>();
+}
+
+std::size_t ArssScheme::start(RecoveryState& s, BytesView payload,
+                              const Bytes& own, std::vector<Share>& backlog,
+                              bft::ReplicaContext& ctx) {
+  auto& st = static_cast<State&>(s);
+  st.rec = std::make_shared<Reconstructor>();
+  if (commitment_) {
+    // Our own share is fed first, in the same flush as the adopted early
+    // shares.
+    st.rec->arss1.emplace(*commitment_, ctx.config().f,
+                          parse_commitment(payload));
+    if (!own.empty()) backlog.insert(backlog.begin(), Share{ctx.id(), own});
+    return 0;
+  }
+  // ARSS2 trusts our own share and anchors every candidate subset on it,
+  // so it enters through the constructor (and still counts in the flush).
+  std::optional<ShamirShare> own_share;
+  if (!own.empty()) own_share = ShamirShare::parse(own);
+  st.rec->arss2.emplace(ctx.config().f, own_share);
+  return own_share ? 1 : 0;
+}
+
+RecoverJob ArssScheme::recover(RecoveryState& s, BytesView /*payload*/,
+                               std::vector<Share> batch,
+                               bft::ReplicaContext& /*ctx*/) {
+  // The reconstructor is handed to the job; `commitment_` is only read
+  // (const) through it, which is safe off-thread.
+  return [this, rec = std::move(static_cast<State&>(s).rec),
+          batch = std::move(batch)]() -> Landing {
+    // Per-share attempt deltas, so the landing charges the modeled costs.
+    std::vector<std::pair<std::size_t, std::size_t>> fed;  // (attempts, len)
+    std::optional<Bytes> secret;
+    for (const Share& share : batch) {
+      const std::size_t before = rec->attempts();
+      std::size_t len = 0;
+      secret = rec->add(share.wire, len);
+      fed.emplace_back(rec->attempts() - before, len);
+      if (secret) break;
+    }
+    return [this, rec, fed = std::move(fed), secret = std::move(secret)](
+               RecoveryState& s, bft::ReplicaContext& ctx) {
+      static_cast<State&>(s).rec = rec;
+      for (const auto& [attempts, len] : fed) {
+        recovery_attempts_->inc(attempts);
+        for (std::size_t i = 0; i < attempts; ++i) {
+          ctx.charge(Op::kShamirRec, len);
+          if (commitment_) ctx.charge(Op::kCommitOpen, len);
+        }
+      }
+      Recovered out;
+      if (secret) out.plaintexts = std::vector<Bytes>{*secret};
+      return out;
+    };
+  };
+}
+
+Bytes ArssScheme::seal(NodeId to, const RequestId& id, BytesView wire,
+                       bft::ReplicaContext& ctx) {
+  ctx.charge(Op::kAeadSeal, wire.size());
+  return seal_share(ctx.keys(), ctx.id(), to, id, wire, ctx.rng());
+}
+
+std::optional<std::pair<RequestId, Bytes>> ArssScheme::open(
+    NodeId from, BytesView body, bft::ReplicaContext& ctx) {
+  ctx.charge(Op::kAeadOpen, body.size());
   Reader r(body);
   const RequestId id = RequestId::read(r);
   const Bytes box = r.bytes();
   if (!r.done()) return std::nullopt;
-  auto share = crypto::aead_open(keys.channel_key(from, self), id.encode(), box);
-  if (!share) return std::nullopt;
-  return std::make_pair(id, std::move(*share));
+  auto wire =
+      crypto::aead_open(ctx.keys().channel_key(from, ctx.id()), id.encode(), box);
+  if (!wire || !parses(*wire)) return std::nullopt;
+  return std::make_pair(id, std::move(*wire));
 }
 
-namespace {
+bool ArssScheme::parses(BytesView wire) const {
+  return commitment_ ? Arss1Share::parse(wire).has_value()
+                     : ShamirShare::parse(wire).has_value();
+}
 
-Bytes corrupt_wire(Bytes wire) {
+Bytes ArssScheme::corrupt(Bytes wire) const {
   // Garbles the share values (value-dependent, the paper's "randomly
   // corrupt" model) while keeping the wire parseable.
-  for (std::size_t i = wire.size() / 2; i < wire.size(); i += 3) {
-    wire[i] ^= 0x5c;
-  }
+  for (std::size_t i = wire.size() / 2; i < wire.size(); i += 3) wire[i] ^= 0x5c;
   return wire;
 }
 
-// Share re-request sentinel: the share-envelope frame with an EMPTY box.  A
-// real envelope always carries a non-empty AEAD box (tag included), so the
-// sentinel is wire-compatible — old code silently drops it at aead_open.
-Bytes encode_share_request(const RequestId& id) {
-  Writer w;
-  id.write(w);
-  w.bytes(Bytes{});
-  return std::move(w).take();
-}
-
-std::optional<RequestId> parse_share_request(BytesView body) {
-  Reader r(body);
-  const RequestId id = RequestId::read(r);
-  const Bytes box = r.bytes();
-  if (!r.done() || !box.empty()) return std::nullopt;
-  return id;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// CP2 replica
+// Client
 
-bool Cp2ReplicaApp::validate_request(NodeId /*client*/,
-                                     const bft::ClientRequestMsg& msg,
-                                     bft::ReplicaContext& /*ctx*/) {
-  Reader r(msg.payload);
-  const Bytes c = r.bytes();
-  return r.done() && !c.empty();
-}
-
-void Cp2ReplicaApp::bind_metrics(bft::ReplicaContext& ctx) {
-  if (m_.reconstructions != nullptr) return;
-  obs::MetricsRegistry& reg = ctx.metrics();
-  m_.reconstructions = &reg.counter("cp2.reconstructions");
-  m_.recovery_attempts = &reg.counter("cp2.recovery_attempts");
-  m_.reveal_retries = &reg.counter("cp2.reveal_retries");
-  m_.share_rerequests_answered = &reg.counter("cp2.share_rerequests_answered");
-  m_.early_stashed = &reg.counter("cp2.early_stashed");
-  m_.pending = &reg.gauge("cp2.pending");
-  m_.early_shares = &reg.gauge("cp2.early_shares");
-  m_.batch_size = &reg.histogram("cp2.batch_size");
-  tracer_ = &ctx.tracer();
-}
-
-void Cp2ReplicaApp::on_deliver(uint64_t /*seq*/, const bft::Request& req,
-                               bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  const RequestId id{req.client, req.client_seq};
-  if (completed_.contains(id) || pending_.contains(id)) return;
-
-  Reader r(req.payload);
-  Bytes c = r.bytes();
-  if (!r.done()) return;
-  Pending& p = pending_[id];
-  p.agreed_commitment = std::move(c);
-  p.delivered = true;
-  p.client = req.client;
-  p.client_seq = req.client_seq;
-  exec_queue_.push_back(id);
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-  adopt_early_shares(id, p, ctx);
-  start_reveal(id, p, ctx);
-  arm_reveal_retry(id, 0, ctx);
-}
-
-void Cp2ReplicaApp::stash_early_share(NodeId from, const RequestId& id,
-                                      Bytes wire) {
-  auto& stash = early_shares_[from];
-  for (const auto& [stashed_id, unused] : stash) {
-    if (stashed_id == id) return;
-  }
-  if (stash.size() >= kCpMaxEarlySharesPerSender) stash.pop_front();
-  stash.emplace_back(id, std::move(wire));
-  m_.early_stashed->inc();
-  m_.early_shares->set(static_cast<int64_t>(early_share_count()));
-}
-
-void Cp2ReplicaApp::adopt_early_shares(const RequestId& id, Pending& p,
-                                       bft::ReplicaContext& ctx) {
-  for (auto& [sender, stash] : early_shares_) {
-    for (auto sit = stash.begin(); sit != stash.end();) {
-      if (sit->first != id) {
-        ++sit;
-        continue;
-      }
-      if (p.seen_senders.insert(sender).second) {
-        if (auto share = Arss1Share::parse(sit->second)) {
-          if (sender == id.client) {
-            if (!p.own_share) p.own_share = std::move(*share);
-          } else if (sender < ctx.config().n) {
-            p.buffered.push_back(std::move(*share));
-          }
-        }
-      }
-      sit = stash.erase(sit);
-    }
-  }
-  m_.early_shares->set(static_cast<int64_t>(early_share_count()));
-}
-
-std::size_t Cp2ReplicaApp::early_share_count() const {
-  std::size_t count = 0;
-  for (const auto& [sender, stash] : early_shares_) count += stash.size();
-  return count;
-}
-
-void Cp2ReplicaApp::arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                                     bft::ReplicaContext& ctx) {
-  if (attempt >= kCpMaxRevealRetries) return;
-  {
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.delivered || it->second.revealed) {
-      return;
-    }
-  }
-  ctx.schedule(kCpRevealRetryBase << std::min(attempt, 4u),
-               [this, id, attempt, &ctx] {
-                 auto it = pending_.find(id);
-                 if (it == pending_.end() || !it->second.delivered ||
-                     it->second.revealed) {
-                   return;
-                 }
-                 m_.reveal_retries->inc();
-                 Pending& p = it->second;
-                 // Re-send our share (if the client gave us one) and ask
-                 // the other replicas for theirs — either side can have
-                 // lost them to a partition or a restart.
-                 if (p.own_share) {
-                   Bytes wire = p.own_share->serialize();
-                   if (corrupt_shares_) wire = corrupt_wire(std::move(wire));
-                   for (NodeId to = 0; to < ctx.config().n; ++to) {
-                     if (to == ctx.id()) continue;
-                     ctx.charge(Op::kAeadSeal, wire.size());
-                     ctx.send_causal(to, seal_share(ctx.keys(), ctx.id(), to,
-                                                    id, wire, ctx.rng()));
-                   }
-                 }
-                 ctx.broadcast_causal(encode_share_request(id));
-                 arm_reveal_retry(id, attempt + 1, ctx);
-               });
-}
-
-void Cp2ReplicaApp::answer_share_request(const RequestId& id, NodeId from,
-                                         bft::ReplicaContext& ctx) {
-  if (from >= ctx.config().n) return;  // only replicas re-collect
-  const Bytes* wire = nullptr;
-  Bytes pending_wire;
-  if (auto it = pending_.find(id);
-      it != pending_.end() && it->second.own_share) {
-    pending_wire = it->second.own_share->serialize();
-    wire = &pending_wire;
-  } else if (auto cit = completed_own_shares_.find(id);
-             cit != completed_own_shares_.end()) {
-    wire = &cit->second;
-  }
-  if (wire == nullptr) return;  // never got a share for it (or evicted)
-  m_.share_rerequests_answered->inc();
-  Bytes out = corrupt_shares_ ? corrupt_wire(*wire) : *wire;
-  ctx.charge(Op::kAeadSeal, out.size());
-  ctx.send_causal(from,
-                  seal_share(ctx.keys(), ctx.id(), from, id, out, ctx.rng()));
-}
-
-void Cp2ReplicaApp::start_reveal(const RequestId& id, Pending& p,
-                                 bft::ReplicaContext& ctx) {
-  p.reconstructor = std::make_shared<secretshare::Arss1Reconstructor>(
-      commitment_, ctx.config().f, p.agreed_commitment);
-
-  // Broadcast our own share to the other replicas over private channels.
-  if (p.own_share) {
-    Bytes wire = p.own_share->serialize();
-    if (corrupt_shares_) wire = corrupt_wire(std::move(wire));
-    for (NodeId to = 0; to < ctx.config().n; ++to) {
-      if (to == ctx.id()) continue;
-      ctx.charge(Op::kAeadSeal, wire.size());
-      ctx.send_causal(to, seal_share(ctx.keys(), ctx.id(), to, id, wire,
-                                     ctx.rng()));
-    }
-  }
-
-  // Feed what we have: our own share first, then anything adopted from the
-  // early-share stash — one accumulated flush per delivery, whose size is
-  // the reveal batching measure (cp2.batch_size).  The whole batch rides a
-  // single worker-pool job; the continuation applies the reveal.
-  std::vector<secretshare::Arss1Share> batch;
-  batch.reserve(p.buffered.size() + 1);
-  if (p.own_share) batch.push_back(*p.own_share);
-  for (auto& s : p.buffered) batch.push_back(std::move(s));
-  p.buffered.clear();
-  if (!batch.empty()) m_.batch_size->record(batch.size());
-  feed_shares_async(id, p, std::move(batch), ctx);
-}
-
-void Cp2ReplicaApp::on_causal_message(NodeId from, BytesView body,
-                                      bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  if (auto req_id = parse_share_request(body)) {
-    answer_share_request(*req_id, from, ctx);
-    return;
-  }
-  ctx.charge(Op::kAeadOpen, body.size());
-  auto opened = open_share(ctx.keys(), ctx.id(), from, body);
-  if (!opened) return;
-  auto& [id, wire] = *opened;
-  if (completed_.contains(id)) return;
-  auto share = Arss1Share::parse(wire);
-  if (!share) return;
-
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    // Not delivered yet.  A correct peer (or the client) can legitimately
-    // race ahead of delivery, but a Byzantine sender can also name
-    // RequestIds forever — stash the wire in a bounded per-sender FIFO
-    // instead of creating reveal state keyed by an unauthenticated id.
-    stash_early_share(from, id, std::move(wire));
-    return;
-  }
-  Pending& p = it->second;
-  if (!p.seen_senders.insert(from).second) return;
-
-  if (from == id.client) {
-    // The client's private distribution of OUR share.
-    if (!p.own_share) p.own_share = std::move(*share);
-    return;
-  }
-  if (from >= ctx.config().n) return;  // only replicas relay shares
-
-  m_.batch_size->record(1);  // post-delivery stragglers feed one at a time
-  std::vector<Arss1Share> batch;
-  batch.push_back(std::move(*share));
-  feed_shares_async(id, p, std::move(batch), ctx);
-}
-
-void Cp2ReplicaApp::feed_shares_async(const RequestId& id, Pending& p,
-                                      std::vector<Arss1Share> batch,
-                                      bft::ReplicaContext& ctx) {
-  if (p.revealed || batch.empty()) return;
-  if (p.reveal_inflight || !p.reconstructor) {
-    // A batch is already on the pool (the reconstructor travels with it):
-    // queue behind it; the landing continuation feeds the backlog.
-    for (auto& s : batch) p.buffered.push_back(std::move(s));
-    return;
-  }
-  p.reveal_inflight = true;
-  // The reconstructor is handed to the job; `commitment_` is only read
-  // (const) through it, which is safe off-thread — nothing mutates a
-  // Commitment after construction.
-  auto rec = std::move(p.reconstructor);
-  ctx.offload([this, &ctx, id, rec = std::move(rec),
-               batch = std::move(batch)]() mutable -> std::function<void()> {
-    // Per-share attempt deltas, so the continuation can charge the modeled
-    // costs exactly as the synchronous path did.
-    std::vector<std::pair<std::size_t, std::size_t>> fed;  // (attempts, len)
-    std::optional<Bytes> secret;
-    for (const auto& s : batch) {
-      const std::size_t before = rec->attempts();
-      secret = rec->add(s);
-      fed.emplace_back(rec->attempts() - before, s.inner.secret_len);
-      if (secret) break;
-    }
-    return [this, &ctx, id, rec = std::move(rec), fed = std::move(fed),
-            secret = std::move(secret)]() mutable {
-      auto it = pending_.find(id);
-      if (it == pending_.end()) return;  // safety: cannot complete in flight
-      Pending& p = it->second;
-      p.reveal_inflight = false;
-      p.reconstructor = std::move(rec);
-      for (const auto& [attempts, len] : fed) {
-        recovery_attempts_ += attempts;
-        m_.recovery_attempts->inc(attempts);
-        for (std::size_t i = 0; i < attempts; ++i) {
-          ctx.charge(Op::kShamirRec, len);
-          ctx.charge(Op::kCommitOpen, len);
-        }
-      }
-      if (secret) {
-        p.revealed = true;
-        p.plaintext = std::move(*secret);
-        m_.reconstructions->inc();
-        tracer_->record(p.client, p.client_seq, obs::Phase::kRevealed,
-                        ctx.now());
-        drain_execution(ctx);
-        return;
-      }
-      if (!p.buffered.empty()) {
-        std::vector<Arss1Share> next = std::move(p.buffered);
-        p.buffered.clear();
-        feed_shares_async(id, p, std::move(next), ctx);
-      }
-    };
-  });
-}
-
-void Cp2ReplicaApp::drain_execution(bft::ReplicaContext& ctx) {
-  while (!exec_queue_.empty()) {
-    const RequestId id = exec_queue_.front();
-    auto it = pending_.find(id);
-    if (it == pending_.end()) {
-      exec_queue_.pop_front();
-      continue;
-    }
-    Pending& p = it->second;
-    if (!p.revealed) return;
-    // Durable execution marker (DESIGN.md §13): a replay cannot re-collect
-    // the peers' shares, so the recovered plaintext itself is logged before
-    // the service runs.  Safe post-reveal — secrecy ends at the reveal.
-    {
-      Writer w;
-      id.write(w);
-      w.bytes(p.plaintext);
-      const Bytes rec = std::move(w).take();
-      ctx.wal_append(rec);
-    }
-    ctx.charge(Op::kExecute, p.plaintext.size());
-    Bytes result = service_->execute(p.client, p.plaintext);
-    ctx.send_reply(p.client, p.client_seq, std::move(result));
-    completed_.insert(id);
-    if (p.own_share) {
-      if (completed_own_shares_.size() >= kCpMaxCompletedShareCache) {
-        completed_own_shares_.erase(completed_own_shares_order_.front());
-        completed_own_shares_order_.pop_front();
-      }
-      completed_own_shares_order_.push_back(id);
-      completed_own_shares_.emplace(id, p.own_share->serialize());
-    }
-    pending_.erase(it);
-    exec_queue_.pop_front();
-  }
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-}
-
-// ---------------------------------------------------------------------------
-// CP2 durability (DESIGN.md §13)
-
-namespace {
-constexpr uint32_t kCp23StateVersion = 1;
-
-void write_sorted_ids(Writer& w, const std::unordered_set<RequestId>& set) {
-  std::vector<RequestId> ids(set.begin(), set.end());
-  std::sort(ids.begin(), ids.end());
-  w.u32(static_cast<uint32_t>(ids.size()));
-  for (const RequestId& id : ids) id.write(w);
-}
-}  // namespace
-
-Bytes Cp2ReplicaApp::serialize_state(bft::ReplicaContext& /*ctx*/) {
-  Writer w;
-  w.u32(kCp23StateVersion);
-  w.bytes(service_->serialize());
-  write_sorted_ids(w, completed_);
-  w.u32(static_cast<uint32_t>(completed_own_shares_order_.size()));
-  for (const RequestId& id : completed_own_shares_order_) {
-    id.write(w);
-    auto it = completed_own_shares_.find(id);
-    w.bytes(it != completed_own_shares_.end() ? BytesView(it->second)
-                                              : BytesView{});
-  }
-  w.u32(static_cast<uint32_t>(exec_queue_.size()));
-  for (const RequestId& id : exec_queue_) id.write(w);
-  // Pending reveals, sorted by id for a deterministic blob.  Transient
-  // state (buffered shares, seen-sender set, the reconstructor itself) is
-  // dropped: restore rebuilds the reconstructor and the retry protocol
-  // re-collects the shares.
-  std::vector<RequestId> pend;
-  pend.reserve(pending_.size());
-  for (const auto& [id, p] : pending_) pend.push_back(id);
-  std::sort(pend.begin(), pend.end());
-  w.u32(static_cast<uint32_t>(pend.size()));
-  for (const RequestId& id : pend) {
-    const Pending& p = pending_.at(id);
-    id.write(w);
-    w.bytes(p.agreed_commitment);
-    w.u32(p.client);
-    w.u64(p.client_seq);
-    w.u8(p.delivered ? 1 : 0);
-    w.u8(p.revealed ? 1 : 0);
-    w.bytes(p.plaintext);
-    w.u8(p.own_share ? 1 : 0);
-    if (p.own_share) w.bytes(p.own_share->serialize());
-  }
-  return std::move(w).take();
-}
-
-bool Cp2ReplicaApp::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
-  if (blob.empty()) return true;
-  bind_metrics(ctx);
-  Reader r(blob);
-  if (r.u32() != kCp23StateVersion) return false;
-  const Bytes service_blob = r.bytes();
-  std::unordered_set<RequestId> completed;
-  const uint32_t n_completed = r.u32();
-  for (uint32_t i = 0; i < n_completed && r.ok(); ++i) {
-    completed.insert(RequestId::read(r));
-  }
-  std::unordered_map<RequestId, Bytes> own_shares;
-  std::deque<RequestId> own_order;
-  const uint32_t n_shares = r.u32();
-  for (uint32_t i = 0; i < n_shares && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    Bytes wire = r.bytes();
-    own_order.push_back(id);
-    own_shares.emplace(id, std::move(wire));
-  }
-  std::deque<RequestId> exec_queue;
-  const uint32_t n_queue = r.u32();
-  for (uint32_t i = 0; i < n_queue && r.ok(); ++i) {
-    exec_queue.push_back(RequestId::read(r));
-  }
-  std::unordered_map<RequestId, Pending> pending;
-  const uint32_t n_pending = r.u32();
-  for (uint32_t i = 0; i < n_pending && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    Pending p;
-    p.agreed_commitment = r.bytes();
-    p.client = r.u32();
-    p.client_seq = r.u64();
-    p.delivered = r.u8() != 0;
-    p.revealed = r.u8() != 0;
-    p.plaintext = r.bytes();
-    if (r.u8() != 0) {
-      auto share = Arss1Share::parse(r.bytes());
-      if (!share) return false;
-      p.own_share = std::move(*share);
-    }
-    pending.emplace(id, std::move(p));
-  }
-  if (!r.ok() || !r.done()) return false;
-  if (!service_->restore(service_blob)) return false;
-  completed_ = std::move(completed);
-  completed_own_shares_ = std::move(own_shares);
-  completed_own_shares_order_ = std::move(own_order);
-  exec_queue_ = std::move(exec_queue);
-  pending_ = std::move(pending);
-  // Restart the reveal machinery: a fresh reconstructor, our own share
-  // re-fed and re-broadcast, and the retry timer re-requesting the peers'.
-  for (auto& [id, p] : pending_) {
-    if (!p.delivered || p.revealed) continue;
-    start_reveal(id, p, ctx);
-    arm_reveal_retry(id, 0, ctx);
-  }
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-  return true;
-}
-
-void Cp2ReplicaApp::on_wal_record(BytesView record, bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  Reader r(record);
-  const RequestId id = RequestId::read(r);
-  Bytes plaintext = r.bytes();
-  if (!r.ok() || !r.done()) return;
-  // Pre-snapshot tails can survive a torn snapshot/truncate window; the
-  // completed set (restored from the snapshot) makes them no-ops.
-  if (completed_.contains(id)) return;
-  ctx.charge(Op::kExecute, plaintext.size());
-  Bytes result = service_->execute(id.client, plaintext);
-  ctx.send_reply(id.client, id.seq, std::move(result));
-  completed_.insert(id);
-  if (auto it = pending_.find(id); it != pending_.end()) {
-    if (it->second.own_share) {
-      if (completed_own_shares_.size() >= kCpMaxCompletedShareCache) {
-        completed_own_shares_.erase(completed_own_shares_order_.front());
-        completed_own_shares_order_.pop_front();
-      }
-      completed_own_shares_order_.push_back(id);
-      completed_own_shares_.emplace(id, it->second.own_share->serialize());
-    }
-    pending_.erase(it);
-  }
-  std::erase(exec_queue_, id);
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-}
-
-// ---------------------------------------------------------------------------
-// CP2 client
-
-void Cp2ClientProtocol::start(uint64_t client_seq, BytesView op,
-                              bft::ClientContext& ctx) {
+void ArssClientProtocol::start(uint64_t client_seq, BytesView op,
+                               bft::ClientContext& ctx) {
   seq_ = client_seq;
   id_ = RequestId{ctx.id(), client_seq};
   const auto& cfg = ctx.config();
-
-  ctx.charge(Op::kCommit, op.size());
-  ctx.charge(Op::kShamirShare, op.size());  // calibrated for the full n-vector
-  auto shares =
-      secretshare::arss1_share(op, cfg.f + 1, cfg.n, commitment_, ctx.rng());
-
-  Writer w;
-  w.bytes(shares[0].commitment);
-  schedule_payload_ = std::move(w).take();
-
   share_wires_.clear();
   share_wires_.reserve(cfg.n);
-  for (const auto& s : shares) share_wires_.push_back(s.serialize());
-
+  if (commitment_) {
+    ctx.charge(Op::kCommit, op.size());
+    ctx.charge(Op::kShamirShare, op.size());  // calibrated for the n-vector
+    auto shares =
+        secretshare::arss1_share(op, cfg.f + 1, cfg.n, *commitment_, ctx.rng());
+    Writer w;
+    w.bytes(shares[0].commitment);
+    schedule_payload_ = std::move(w).take();
+    for (const auto& s : shares) share_wires_.push_back(s.serialize());
+  } else {
+    ctx.charge(Op::kShamirShare, op.size());  // calibrated for the n-vector
+    for (const auto& s : secretshare::arss2_share(op, cfg.f, cfg.n, ctx.rng())) {
+      share_wires_.push_back(s.serialize());
+    }
+  }
   quorum_.arm(client_seq, cfg.f + 1);
   send_all(ctx);
 }
 
-void Cp2ClientProtocol::send_all(bft::ClientContext& ctx) {
-  const auto& cfg = ctx.config();
-  for (NodeId r = 0; r < cfg.n; ++r) {
+void ArssClientProtocol::send_all(bft::ClientContext& ctx) {
+  for (NodeId r = 0; r < ctx.config().n; ++r) {
     ctx.charge(Op::kAeadSeal, share_wires_[r].size());
     ctx.send_causal(r, seal_share(ctx.keys(), ctx.id(), r, id_,
                                   share_wires_[r], ctx.rng()));
@@ -555,455 +214,12 @@ void Cp2ClientProtocol::send_all(bft::ClientContext& ctx) {
   ctx.send_request(seq_, schedule_payload_);
 }
 
-void Cp2ClientProtocol::on_reply(NodeId replica, const bft::ReplyMsg& reply,
-                                 bft::ClientContext& ctx) {
+void ArssClientProtocol::on_reply(NodeId replica, const bft::ReplyMsg& reply,
+                                  bft::ClientContext& ctx) {
   if (quorum_.add(replica, reply)) ctx.complete(reply.result);
 }
 
-void Cp2ClientProtocol::on_retransmit(bft::ClientContext& ctx) {
-  send_all(ctx);
-}
-
-// ---------------------------------------------------------------------------
-// CP3 replica
-
-bool Cp3ReplicaApp::validate_request(NodeId /*client*/,
-                                     const bft::ClientRequestMsg& msg,
-                                     bft::ReplicaContext& /*ctx*/) {
-  return msg.payload.empty();  // CP3 agrees on the ID alone
-}
-
-void Cp3ReplicaApp::bind_metrics(bft::ReplicaContext& ctx) {
-  if (m_.reconstructions != nullptr) return;
-  obs::MetricsRegistry& reg = ctx.metrics();
-  m_.reconstructions = &reg.counter("cp3.reconstructions");
-  m_.recovery_attempts = &reg.counter("cp3.recovery_attempts");
-  m_.reveal_retries = &reg.counter("cp3.reveal_retries");
-  m_.share_rerequests_answered = &reg.counter("cp3.share_rerequests_answered");
-  m_.early_stashed = &reg.counter("cp3.early_stashed");
-  m_.pending = &reg.gauge("cp3.pending");
-  m_.early_shares = &reg.gauge("cp3.early_shares");
-  m_.batch_size = &reg.histogram("cp3.batch_size");
-  tracer_ = &ctx.tracer();
-}
-
-void Cp3ReplicaApp::on_deliver(uint64_t /*seq*/, const bft::Request& req,
-                               bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  const RequestId id{req.client, req.client_seq};
-  if (completed_.contains(id) || pending_.contains(id)) return;
-  Pending& p = pending_[id];
-  p.delivered = true;
-  p.client = req.client;
-  p.client_seq = req.client_seq;
-  exec_queue_.push_back(id);
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-  adopt_early_shares(id, p, ctx);
-  start_reveal(id, p, ctx);
-  arm_reveal_retry(id, 0, ctx);
-}
-
-void Cp3ReplicaApp::stash_early_share(NodeId from, const RequestId& id,
-                                      Bytes wire) {
-  auto& stash = early_shares_[from];
-  for (const auto& [stashed_id, unused] : stash) {
-    if (stashed_id == id) return;
-  }
-  if (stash.size() >= kCpMaxEarlySharesPerSender) stash.pop_front();
-  stash.emplace_back(id, std::move(wire));
-  m_.early_stashed->inc();
-  m_.early_shares->set(static_cast<int64_t>(early_share_count()));
-}
-
-void Cp3ReplicaApp::adopt_early_shares(const RequestId& id, Pending& p,
-                                       bft::ReplicaContext& ctx) {
-  for (auto& [sender, stash] : early_shares_) {
-    for (auto sit = stash.begin(); sit != stash.end();) {
-      if (sit->first != id) {
-        ++sit;
-        continue;
-      }
-      if (p.seen_senders.insert(sender).second) {
-        if (auto share = ShamirShare::parse(sit->second)) {
-          if (sender == id.client) {
-            if (!p.own_share) p.own_share = std::move(*share);
-          } else if (sender < ctx.config().n) {
-            p.buffered.push_back(std::move(*share));
-          }
-        }
-      }
-      sit = stash.erase(sit);
-    }
-  }
-  m_.early_shares->set(static_cast<int64_t>(early_share_count()));
-}
-
-std::size_t Cp3ReplicaApp::early_share_count() const {
-  std::size_t count = 0;
-  for (const auto& [sender, stash] : early_shares_) count += stash.size();
-  return count;
-}
-
-void Cp3ReplicaApp::arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                                     bft::ReplicaContext& ctx) {
-  if (attempt >= kCpMaxRevealRetries) return;
-  {
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.delivered || it->second.revealed) {
-      return;
-    }
-  }
-  ctx.schedule(kCpRevealRetryBase << std::min(attempt, 4u),
-               [this, id, attempt, &ctx] {
-                 auto it = pending_.find(id);
-                 if (it == pending_.end() || !it->second.delivered ||
-                     it->second.revealed) {
-                   return;
-                 }
-                 m_.reveal_retries->inc();
-                 Pending& p = it->second;
-                 if (p.own_share) {
-                   Bytes wire = p.own_share->serialize();
-                   if (corrupt_shares_) wire = corrupt_wire(std::move(wire));
-                   for (NodeId to = 0; to < ctx.config().n; ++to) {
-                     if (to == ctx.id()) continue;
-                     ctx.charge(Op::kAeadSeal, wire.size());
-                     ctx.send_causal(to, seal_share(ctx.keys(), ctx.id(), to,
-                                                    id, wire, ctx.rng()));
-                   }
-                 }
-                 ctx.broadcast_causal(encode_share_request(id));
-                 arm_reveal_retry(id, attempt + 1, ctx);
-               });
-}
-
-void Cp3ReplicaApp::answer_share_request(const RequestId& id, NodeId from,
-                                         bft::ReplicaContext& ctx) {
-  if (from >= ctx.config().n) return;  // only replicas re-collect
-  const Bytes* wire = nullptr;
-  Bytes pending_wire;
-  if (auto it = pending_.find(id);
-      it != pending_.end() && it->second.own_share) {
-    pending_wire = it->second.own_share->serialize();
-    wire = &pending_wire;
-  } else if (auto cit = completed_own_shares_.find(id);
-             cit != completed_own_shares_.end()) {
-    wire = &cit->second;
-  }
-  if (wire == nullptr) return;  // never got a share for it (or evicted)
-  m_.share_rerequests_answered->inc();
-  Bytes out = corrupt_shares_ ? corrupt_wire(*wire) : *wire;
-  ctx.charge(Op::kAeadSeal, out.size());
-  ctx.send_causal(from,
-                  seal_share(ctx.keys(), ctx.id(), from, id, out, ctx.rng()));
-}
-
-void Cp3ReplicaApp::start_reveal(const RequestId& id, Pending& p,
-                                 bft::ReplicaContext& ctx) {
-  p.reconstructor = std::make_shared<secretshare::Arss2Reconstructor>(
-      ctx.config().f, p.own_share, mode_);
-
-  if (p.own_share) {
-    Bytes wire = p.own_share->serialize();
-    if (corrupt_shares_) wire = corrupt_wire(std::move(wire));
-    for (NodeId to = 0; to < ctx.config().n; ++to) {
-      if (to == ctx.id()) continue;
-      ctx.charge(Op::kAeadSeal, wire.size());
-      ctx.send_causal(to, seal_share(ctx.keys(), ctx.id(), to, id, wire,
-                                     ctx.rng()));
-    }
-  }
-  // Feed everything adopted from the early-share stash as one accumulated
-  // flush (its size is the reveal batching measure, cp3.batch_size; the own
-  // share counts — it entered via the reconstructor's constructor).  The
-  // whole batch rides a single worker-pool job.
-  std::vector<secretshare::ShamirShare> batch = std::move(p.buffered);
-  p.buffered.clear();
-  const std::size_t flush = batch.size() + (p.own_share ? 1 : 0);
-  if (flush > 0) m_.batch_size->record(flush);
-  feed_shares_async(id, p, std::move(batch), ctx);
-}
-
-void Cp3ReplicaApp::on_causal_message(NodeId from, BytesView body,
-                                      bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  if (auto req_id = parse_share_request(body)) {
-    answer_share_request(*req_id, from, ctx);
-    return;
-  }
-  ctx.charge(Op::kAeadOpen, body.size());
-  auto opened = open_share(ctx.keys(), ctx.id(), from, body);
-  if (!opened) return;
-  auto& [id, wire] = *opened;
-  if (completed_.contains(id)) return;
-  auto share = ShamirShare::parse(wire);
-  if (!share) return;
-
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    // Not delivered yet: bounded per-sender stash (see Cp2ReplicaApp).
-    stash_early_share(from, id, std::move(wire));
-    return;
-  }
-  Pending& p = it->second;
-  if (!p.seen_senders.insert(from).second) return;
-
-  if (from == id.client) {
-    if (!p.own_share) p.own_share = std::move(*share);
-    return;
-  }
-  if (from >= ctx.config().n) return;
-
-  m_.batch_size->record(1);  // post-delivery stragglers feed one at a time
-  std::vector<ShamirShare> batch;
-  batch.push_back(std::move(*share));
-  feed_shares_async(id, p, std::move(batch), ctx);
-}
-
-void Cp3ReplicaApp::feed_shares_async(const RequestId& id, Pending& p,
-                                      std::vector<ShamirShare> batch,
-                                      bft::ReplicaContext& ctx) {
-  if (p.revealed || batch.empty()) return;
-  if (p.reveal_inflight || !p.reconstructor) {
-    for (auto& s : batch) p.buffered.push_back(std::move(s));
-    return;
-  }
-  p.reveal_inflight = true;
-  auto rec = std::move(p.reconstructor);
-  ctx.offload([this, &ctx, id, rec = std::move(rec),
-               batch = std::move(batch)]() mutable -> std::function<void()> {
-    std::vector<std::pair<std::size_t, std::size_t>> fed;  // (attempts, len)
-    std::optional<Bytes> secret;
-    for (const auto& s : batch) {
-      const std::size_t before = rec->attempts();
-      secret = rec->add(s);
-      fed.emplace_back(rec->attempts() - before, s.secret_len);
-      if (secret) break;
-    }
-    return [this, &ctx, id, rec = std::move(rec), fed = std::move(fed),
-            secret = std::move(secret)]() mutable {
-      auto it = pending_.find(id);
-      if (it == pending_.end()) return;  // safety: cannot complete in flight
-      Pending& p = it->second;
-      p.reveal_inflight = false;
-      p.reconstructor = std::move(rec);
-      for (const auto& [attempts, len] : fed) {
-        recovery_attempts_ += attempts;
-        m_.recovery_attempts->inc(attempts);
-        for (std::size_t i = 0; i < attempts; ++i) {
-          ctx.charge(Op::kShamirRec, len);
-        }
-      }
-      if (secret) {
-        p.revealed = true;
-        p.plaintext = std::move(*secret);
-        m_.reconstructions->inc();
-        tracer_->record(p.client, p.client_seq, obs::Phase::kRevealed,
-                        ctx.now());
-        drain_execution(ctx);
-        return;
-      }
-      if (!p.buffered.empty()) {
-        std::vector<ShamirShare> next = std::move(p.buffered);
-        p.buffered.clear();
-        feed_shares_async(id, p, std::move(next), ctx);
-      }
-    };
-  });
-}
-
-void Cp3ReplicaApp::drain_execution(bft::ReplicaContext& ctx) {
-  while (!exec_queue_.empty()) {
-    const RequestId id = exec_queue_.front();
-    auto it = pending_.find(id);
-    if (it == pending_.end()) {
-      exec_queue_.pop_front();
-      continue;
-    }
-    Pending& p = it->second;
-    if (!p.revealed) return;
-    // Durable execution marker (DESIGN.md §13) — see Cp2ReplicaApp.
-    {
-      Writer w;
-      id.write(w);
-      w.bytes(p.plaintext);
-      const Bytes rec = std::move(w).take();
-      ctx.wal_append(rec);
-    }
-    ctx.charge(Op::kExecute, p.plaintext.size());
-    Bytes result = service_->execute(p.client, p.plaintext);
-    ctx.send_reply(p.client, p.client_seq, std::move(result));
-    completed_.insert(id);
-    if (p.own_share) {
-      if (completed_own_shares_.size() >= kCpMaxCompletedShareCache) {
-        completed_own_shares_.erase(completed_own_shares_order_.front());
-        completed_own_shares_order_.pop_front();
-      }
-      completed_own_shares_order_.push_back(id);
-      completed_own_shares_.emplace(id, p.own_share->serialize());
-    }
-    pending_.erase(it);
-    exec_queue_.pop_front();
-  }
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-}
-
-// ---------------------------------------------------------------------------
-// CP3 durability (DESIGN.md §13)
-
-Bytes Cp3ReplicaApp::serialize_state(bft::ReplicaContext& /*ctx*/) {
-  Writer w;
-  w.u32(kCp23StateVersion);
-  w.bytes(service_->serialize());
-  write_sorted_ids(w, completed_);
-  w.u32(static_cast<uint32_t>(completed_own_shares_order_.size()));
-  for (const RequestId& id : completed_own_shares_order_) {
-    id.write(w);
-    auto it = completed_own_shares_.find(id);
-    w.bytes(it != completed_own_shares_.end() ? BytesView(it->second)
-                                              : BytesView{});
-  }
-  w.u32(static_cast<uint32_t>(exec_queue_.size()));
-  for (const RequestId& id : exec_queue_) id.write(w);
-  std::vector<RequestId> pend;
-  pend.reserve(pending_.size());
-  for (const auto& [id, p] : pending_) pend.push_back(id);
-  std::sort(pend.begin(), pend.end());
-  w.u32(static_cast<uint32_t>(pend.size()));
-  for (const RequestId& id : pend) {
-    const Pending& p = pending_.at(id);
-    id.write(w);
-    w.u32(p.client);
-    w.u64(p.client_seq);
-    w.u8(p.delivered ? 1 : 0);
-    w.u8(p.revealed ? 1 : 0);
-    w.bytes(p.plaintext);
-    w.u8(p.own_share ? 1 : 0);
-    if (p.own_share) w.bytes(p.own_share->serialize());
-  }
-  return std::move(w).take();
-}
-
-bool Cp3ReplicaApp::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
-  if (blob.empty()) return true;
-  bind_metrics(ctx);
-  Reader r(blob);
-  if (r.u32() != kCp23StateVersion) return false;
-  const Bytes service_blob = r.bytes();
-  std::unordered_set<RequestId> completed;
-  const uint32_t n_completed = r.u32();
-  for (uint32_t i = 0; i < n_completed && r.ok(); ++i) {
-    completed.insert(RequestId::read(r));
-  }
-  std::unordered_map<RequestId, Bytes> own_shares;
-  std::deque<RequestId> own_order;
-  const uint32_t n_shares = r.u32();
-  for (uint32_t i = 0; i < n_shares && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    Bytes wire = r.bytes();
-    own_order.push_back(id);
-    own_shares.emplace(id, std::move(wire));
-  }
-  std::deque<RequestId> exec_queue;
-  const uint32_t n_queue = r.u32();
-  for (uint32_t i = 0; i < n_queue && r.ok(); ++i) {
-    exec_queue.push_back(RequestId::read(r));
-  }
-  std::unordered_map<RequestId, Pending> pending;
-  const uint32_t n_pending = r.u32();
-  for (uint32_t i = 0; i < n_pending && r.ok(); ++i) {
-    const RequestId id = RequestId::read(r);
-    Pending p;
-    p.client = r.u32();
-    p.client_seq = r.u64();
-    p.delivered = r.u8() != 0;
-    p.revealed = r.u8() != 0;
-    p.plaintext = r.bytes();
-    if (r.u8() != 0) {
-      auto share = ShamirShare::parse(r.bytes());
-      if (!share) return false;
-      p.own_share = std::move(*share);
-    }
-    pending.emplace(id, std::move(p));
-  }
-  if (!r.ok() || !r.done()) return false;
-  if (!service_->restore(service_blob)) return false;
-  completed_ = std::move(completed);
-  completed_own_shares_ = std::move(own_shares);
-  completed_own_shares_order_ = std::move(own_order);
-  exec_queue_ = std::move(exec_queue);
-  pending_ = std::move(pending);
-  for (auto& [id, p] : pending_) {
-    if (!p.delivered || p.revealed) continue;
-    start_reveal(id, p, ctx);
-    arm_reveal_retry(id, 0, ctx);
-  }
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-  return true;
-}
-
-void Cp3ReplicaApp::on_wal_record(BytesView record, bft::ReplicaContext& ctx) {
-  bind_metrics(ctx);
-  Reader r(record);
-  const RequestId id = RequestId::read(r);
-  Bytes plaintext = r.bytes();
-  if (!r.ok() || !r.done()) return;
-  if (completed_.contains(id)) return;
-  ctx.charge(Op::kExecute, plaintext.size());
-  Bytes result = service_->execute(id.client, plaintext);
-  ctx.send_reply(id.client, id.seq, std::move(result));
-  completed_.insert(id);
-  if (auto it = pending_.find(id); it != pending_.end()) {
-    if (it->second.own_share) {
-      if (completed_own_shares_.size() >= kCpMaxCompletedShareCache) {
-        completed_own_shares_.erase(completed_own_shares_order_.front());
-        completed_own_shares_order_.pop_front();
-      }
-      completed_own_shares_order_.push_back(id);
-      completed_own_shares_.emplace(id, it->second.own_share->serialize());
-    }
-    pending_.erase(it);
-  }
-  std::erase(exec_queue_, id);
-  m_.pending->set(static_cast<int64_t>(pending_.size()));
-}
-
-// ---------------------------------------------------------------------------
-// CP3 client
-
-void Cp3ClientProtocol::start(uint64_t client_seq, BytesView op,
-                              bft::ClientContext& ctx) {
-  seq_ = client_seq;
-  id_ = RequestId{ctx.id(), client_seq};
-  const auto& cfg = ctx.config();
-
-  ctx.charge(Op::kShamirShare, op.size());  // calibrated for the full n-vector
-  auto shares = secretshare::arss2_share(op, cfg.f, cfg.n, ctx.rng());
-
-  share_wires_.clear();
-  share_wires_.reserve(cfg.n);
-  for (const auto& s : shares) share_wires_.push_back(s.serialize());
-
-  quorum_.arm(client_seq, cfg.f + 1);
-  send_all(ctx);
-}
-
-void Cp3ClientProtocol::send_all(bft::ClientContext& ctx) {
-  const auto& cfg = ctx.config();
-  for (NodeId r = 0; r < cfg.n; ++r) {
-    ctx.charge(Op::kAeadSeal, share_wires_[r].size());
-    ctx.send_causal(r, seal_share(ctx.keys(), ctx.id(), r, id_,
-                                  share_wires_[r], ctx.rng()));
-  }
-  ctx.send_request(seq_, Bytes{});
-}
-
-void Cp3ClientProtocol::on_reply(NodeId replica, const bft::ReplyMsg& reply,
-                                 bft::ClientContext& ctx) {
-  if (quorum_.add(replica, reply)) ctx.complete(reply.result);
-}
-
-void Cp3ClientProtocol::on_retransmit(bft::ClientContext& ctx) {
+void ArssClientProtocol::on_retransmit(bft::ClientContext& ctx) {
   send_all(ctx);
 }
 

@@ -4,10 +4,10 @@
 // sends replica i the share S[i] over an authenticated AND private channel
 // (AEAD); the BFT protocol orders only the public part (ID plus, for CP2,
 // the commitment c).  When a replica delivers the identifier it starts the
-// reveal: it broadcasts its share to the other replicas (again over private
-// channels), feeds arriving shares to the incremental ARSS reconstructor,
-// and executes + replies once the secret is recovered.  Execution is
-// blocked in delivery order, exactly like CP0's reveal.
+// reveal (causal/reveal.h): it sends its share to the other replicas (again
+// over private channels), feeds arriving shares to the incremental ARSS
+// reconstructor, and executes + replies once the secret is recovered, in
+// delivery order, exactly like CP0's reveal.
 //
 //   CP2 = ARSS1: shares carry a commitment tag; the commitment is *agreed*
 //         in the schedule step, so foreign/forged share sets are rejected
@@ -19,141 +19,61 @@
 // client can block the service but can never break causality.
 #pragma once
 
-#include <deque>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 #include <vector>
 
-#include "bft/app.h"
 #include "bft/client.h"
-#include "causal/id.h"
-#include "causal/service.h"
-#include "secretshare/arss.h"
+#include "causal/reveal.h"
+#include "crypto/commitment.h"
 
 namespace scab::causal {
 
-/// Reveal-retry / share-re-request tuning shared by CP2 and CP3 (CP0 keeps
-/// mirrored constants): a delivered-but-unrevealed request rebroadcasts its
-/// share and re-requests the peers' after base << min(attempt, 4), capped at
-/// kCpMaxRevealRetries attempts.  The base sits above the WAN reveal
-/// round-trip so the happy path never retries.
-inline constexpr host::Time kCpRevealRetryBase = 500'000'000;  // 500 ms
-inline constexpr uint32_t kCpMaxRevealRetries = 8;
-/// Bounded cache of own-share wires for executed requests, kept to answer a
-/// restarted peer re-collecting shares for requests we already finished.
-inline constexpr std::size_t kCpMaxCompletedShareCache = 1024;
-/// Per-sender cap on shares stashed before their request is delivered
-/// (mirrors CP0's kMaxEarlySharesPerSender): reveal state is created only at
-/// BFT delivery, so a Byzantine peer naming made-up RequestIds can occupy at
-/// most this much memory per sender instead of growing `pending_` forever.
-inline constexpr std::size_t kCpMaxEarlySharesPerSender = 32;
-
-// ---------------------------------------------------------------------------
-// CP2
-
-class Cp2ReplicaApp : public bft::ReplicaApp {
+/// The ARSS share scheme for the reveal engine: ARSS1 (CP2) when built
+/// with the commitment scheme, ARSS2 (CP3) without.  Our own share is the
+/// one the client dealt us; peers' shares feed the reconstructor on the
+/// worker pool as they arrive.
+class ArssScheme : public RevealScheme {
  public:
-  Cp2ReplicaApp(std::unique_ptr<Service> service, crypto::Commitment commitment)
-      : service_(std::move(service)), commitment_(std::move(commitment)) {}
+  explicit ArssScheme(std::optional<crypto::Commitment> commitment);
 
-  /// Table IV fault model: broadcast corrupted shares to the other replicas.
-  void set_corrupt_shares(bool corrupt) { corrupt_shares_ = corrupt; }
-
+  void bind_metrics(obs::MetricsRegistry& reg) override;
   bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
                         bft::ReplicaContext& ctx) override;
-  void on_deliver(uint64_t seq, const bft::Request& req,
-                  bft::ReplicaContext& ctx) override;
-  void on_causal_message(bft::NodeId from, BytesView body,
-                         bft::ReplicaContext& ctx) override;
-
-  // Durability (DESIGN.md §13): reveal plaintexts come from the peers'
-  // shares, which a replay cannot re-collect — every execution logs a WAL
-  // record (id + plaintext), and the snapshot carries the reveal state.
-  Bytes serialize_state(bft::ReplicaContext& ctx) override;
-  bool restore_state(BytesView blob, bft::ReplicaContext& ctx) override;
-  void on_wal_record(BytesView record, bft::ReplicaContext& ctx) override;
-
-  Service& service() { return *service_; }
-  /// Total combination-search attempts across recoveries (bench metric).
-  uint64_t recovery_attempts() const { return recovery_attempts_; }
-  /// Diagnostics/tests: reveal entries in flight (all correspond to
-  /// delivered requests) and pre-delivery stashed shares.
-  std::size_t pending_count() const { return pending_.size(); }
-  std::size_t early_share_count() const;
+  std::unique_ptr<RecoveryState> admit(const RequestId& id, BytesView payload,
+                                       Bytes& own,
+                                       bft::ReplicaContext& ctx) override;
+  std::unique_ptr<RecoveryState> resume(const RequestId& id,
+                                        BytesView payload) override;
+  std::size_t start(RecoveryState& st, BytesView payload, const Bytes& own,
+                    std::vector<Share>& backlog,
+                    bft::ReplicaContext& ctx) override;
+  RecoverJob recover(RecoveryState& st, BytesView payload,
+                     std::vector<Share> batch,
+                     bft::ReplicaContext& ctx) override;
+  Bytes seal(bft::NodeId to, const RequestId& id, BytesView wire,
+             bft::ReplicaContext& ctx) override;
+  std::optional<std::pair<RequestId, Bytes>> open(
+      bft::NodeId from, BytesView body, bft::ReplicaContext& ctx) override;
+  Bytes corrupt(Bytes wire) const override;
 
  private:
-  struct Pending {
-    Bytes agreed_commitment;
-    bft::NodeId client = 0;
-    uint64_t client_seq = 0;
-    bool delivered = false;
-    bool revealed = false;
-    // A feed batch is running on the worker pool; the reconstructor travels
-    // with the job (reconstructor == nullptr while set), and newly arriving
-    // shares queue into `buffered` until the continuation re-attaches it.
-    bool reveal_inflight = false;
-    Bytes plaintext;
-    std::optional<secretshare::Arss1Share> own_share;
-    // Shares awaiting a feed: pre-delivery arrivals and anything received
-    // while a feed batch was in flight.
-    std::vector<secretshare::Arss1Share> buffered;
-    std::unordered_set<bft::NodeId> seen_senders;
-    // shared_ptr (not unique_ptr): the pool job closure must stay copyable
-    // for std::function while owning the reconstructor for the batch.
-    std::shared_ptr<secretshare::Arss1Reconstructor> reconstructor;
+  struct Reconstructor;
+  struct State : RecoveryState {
+    // shared_ptr: the reconstructor travels with the pool job (null while
+    // it is out), and std::function needs a copyable closure.
+    std::shared_ptr<Reconstructor> rec;
   };
 
-  /// Feeds a batch of shares to the reconstructor ON THE WORKER POOL; the
-  /// continuation charges per-attempt costs and applies the reveal.
-  void feed_shares_async(const RequestId& id, Pending& p,
-                         std::vector<secretshare::Arss1Share> batch,
-                         bft::ReplicaContext& ctx);
-  void start_reveal(const RequestId& id, Pending& p, bft::ReplicaContext& ctx);
-  void drain_execution(bft::ReplicaContext& ctx);
-  void answer_share_request(const RequestId& id, bft::NodeId from,
-                            bft::ReplicaContext& ctx);
-  void arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                        bft::ReplicaContext& ctx);
-  void stash_early_share(bft::NodeId from, const RequestId& id, Bytes wire);
-  void adopt_early_shares(const RequestId& id, Pending& p,
-                          bft::ReplicaContext& ctx);
-  void bind_metrics(bft::ReplicaContext& ctx);
+  bool parses(BytesView wire) const;
 
-  std::unique_ptr<Service> service_;
-  crypto::Commitment commitment_;
-  bool corrupt_shares_ = false;
-
-  // Reveal state, created only when the BFT layer delivers the request.
-  std::unordered_map<RequestId, Pending> pending_;
-  // Shares that arrived before their request was delivered, bounded per
-  // sender (kCpMaxEarlySharesPerSender): never keyed protocol state by an
-  // unauthenticated RequestId.
-  std::map<bft::NodeId, std::deque<std::pair<RequestId, Bytes>>> early_shares_;
-  std::unordered_set<RequestId> completed_;
-  std::deque<RequestId> exec_queue_;
-  // Own-share wires of executed requests (bounded FIFO; see
-  // kCpMaxCompletedShareCache): serves re-requests from restarted peers.
-  std::unordered_map<RequestId, Bytes> completed_own_shares_;
-  std::deque<RequestId> completed_own_shares_order_;
-  uint64_t recovery_attempts_ = 0;
-
-  struct {
-    obs::Counter* reconstructions = nullptr;
-    obs::Counter* recovery_attempts = nullptr;
-    obs::Counter* reveal_retries = nullptr;
-    obs::Counter* share_rerequests_answered = nullptr;
-    obs::Counter* early_stashed = nullptr;
-    obs::Gauge* pending = nullptr;
-    obs::Gauge* early_shares = nullptr;
-    obs::Histogram* batch_size = nullptr;  // shares fed per flush
-  } m_;
-  obs::Tracer* tracer_ = nullptr;
+  std::optional<crypto::Commitment> commitment_;  // set for ARSS1
+  obs::Counter* recovery_attempts_ = nullptr;
 };
 
-class Cp2ClientProtocol : public bft::ClientProtocol {
+/// The client half of CP2 (with the commitment scheme) or CP3 (without).
+class ArssClientProtocol : public bft::ClientProtocol {
  public:
-  explicit Cp2ClientProtocol(crypto::Commitment commitment)
+  explicit ArssClientProtocol(std::optional<crypto::Commitment> commitment)
       : commitment_(std::move(commitment)) {}
 
   void start(uint64_t client_seq, BytesView op, bft::ClientContext& ctx) override;
@@ -164,133 +84,12 @@ class Cp2ClientProtocol : public bft::ClientProtocol {
  private:
   void send_all(bft::ClientContext& ctx);
 
-  crypto::Commitment commitment_;
+  std::optional<crypto::Commitment> commitment_;
   uint64_t seq_ = 0;
   RequestId id_;
-  Bytes schedule_payload_;
+  Bytes schedule_payload_;          // CP2: bytes(c); CP3: empty
   std::vector<Bytes> share_wires_;  // per replica
   bft::ReplyQuorum quorum_;
 };
-
-// ---------------------------------------------------------------------------
-// CP3
-
-class Cp3ReplicaApp : public bft::ReplicaApp {
- public:
-  Cp3ReplicaApp(std::unique_ptr<Service> service,
-                secretshare::Arss2Mode mode = secretshare::Arss2Mode::kFast)
-      : service_(std::move(service)), mode_(mode) {}
-
-  void set_corrupt_shares(bool corrupt) { corrupt_shares_ = corrupt; }
-
-  bool validate_request(bft::NodeId client, const bft::ClientRequestMsg& msg,
-                        bft::ReplicaContext& ctx) override;
-  void on_deliver(uint64_t seq, const bft::Request& req,
-                  bft::ReplicaContext& ctx) override;
-  void on_causal_message(bft::NodeId from, BytesView body,
-                         bft::ReplicaContext& ctx) override;
-
-  // Durability (DESIGN.md §13): same model as CP2 — execution records in
-  // the WAL, reveal state in the snapshot.
-  Bytes serialize_state(bft::ReplicaContext& ctx) override;
-  bool restore_state(BytesView blob, bft::ReplicaContext& ctx) override;
-  void on_wal_record(BytesView record, bft::ReplicaContext& ctx) override;
-
-  Service& service() { return *service_; }
-  uint64_t recovery_attempts() const { return recovery_attempts_; }
-  /// Diagnostics/tests: reveal entries in flight (all correspond to
-  /// delivered requests) and pre-delivery stashed shares.
-  std::size_t pending_count() const { return pending_.size(); }
-  std::size_t early_share_count() const;
-
- private:
-  struct Pending {
-    bft::NodeId client = 0;
-    uint64_t client_seq = 0;
-    bool delivered = false;
-    bool revealed = false;
-    // See Cp2ReplicaApp::Pending — reconstructor travels with the pool job.
-    bool reveal_inflight = false;
-    Bytes plaintext;
-    std::optional<secretshare::ShamirShare> own_share;
-    std::vector<secretshare::ShamirShare> buffered;
-    std::unordered_set<bft::NodeId> seen_senders;
-    std::shared_ptr<secretshare::Arss2Reconstructor> reconstructor;
-  };
-
-  /// Feeds a batch of shares to the reconstructor ON THE WORKER POOL; the
-  /// continuation charges per-attempt costs and applies the reveal.
-  void feed_shares_async(const RequestId& id, Pending& p,
-                         std::vector<secretshare::ShamirShare> batch,
-                         bft::ReplicaContext& ctx);
-  void start_reveal(const RequestId& id, Pending& p, bft::ReplicaContext& ctx);
-  void drain_execution(bft::ReplicaContext& ctx);
-  void answer_share_request(const RequestId& id, bft::NodeId from,
-                            bft::ReplicaContext& ctx);
-  void arm_reveal_retry(const RequestId& id, uint32_t attempt,
-                        bft::ReplicaContext& ctx);
-  void stash_early_share(bft::NodeId from, const RequestId& id, Bytes wire);
-  void adopt_early_shares(const RequestId& id, Pending& p,
-                          bft::ReplicaContext& ctx);
-  void bind_metrics(bft::ReplicaContext& ctx);
-
-  std::unique_ptr<Service> service_;
-  secretshare::Arss2Mode mode_;
-  bool corrupt_shares_ = false;
-
-  // Reveal state, created only when the BFT layer delivers the request.
-  std::unordered_map<RequestId, Pending> pending_;
-  // Shares that arrived before their request was delivered, bounded per
-  // sender (kCpMaxEarlySharesPerSender): never keyed protocol state by an
-  // unauthenticated RequestId.
-  std::map<bft::NodeId, std::deque<std::pair<RequestId, Bytes>>> early_shares_;
-  std::unordered_set<RequestId> completed_;
-  std::deque<RequestId> exec_queue_;
-  // Own-share wires of executed requests (bounded FIFO; see
-  // kCpMaxCompletedShareCache): serves re-requests from restarted peers.
-  std::unordered_map<RequestId, Bytes> completed_own_shares_;
-  std::deque<RequestId> completed_own_shares_order_;
-  uint64_t recovery_attempts_ = 0;
-
-  struct {
-    obs::Counter* reconstructions = nullptr;
-    obs::Counter* recovery_attempts = nullptr;
-    obs::Counter* reveal_retries = nullptr;
-    obs::Counter* share_rerequests_answered = nullptr;
-    obs::Counter* early_stashed = nullptr;
-    obs::Gauge* pending = nullptr;
-    obs::Gauge* early_shares = nullptr;
-    obs::Histogram* batch_size = nullptr;  // shares fed per flush
-  } m_;
-  obs::Tracer* tracer_ = nullptr;
-};
-
-class Cp3ClientProtocol : public bft::ClientProtocol {
- public:
-  void start(uint64_t client_seq, BytesView op, bft::ClientContext& ctx) override;
-  void on_reply(bft::NodeId replica, const bft::ReplyMsg& reply,
-                bft::ClientContext& ctx) override;
-  void on_retransmit(bft::ClientContext& ctx) override;
-
- private:
-  void send_all(bft::ClientContext& ctx);
-
-  uint64_t seq_ = 0;
-  RequestId id_;
-  std::vector<Bytes> share_wires_;
-  bft::ReplyQuorum quorum_;
-};
-
-// --- shared helpers (also used by tests) ---
-
-/// Seals a share wire for the private channel a -> b, bound to the ID.
-Bytes seal_share(const bft::KeyRing& keys, bft::NodeId from, bft::NodeId to,
-                 const RequestId& id, BytesView share_wire, crypto::Drbg& rng);
-
-/// Opens a sealed share envelope (returns ID and share wire).
-std::optional<std::pair<RequestId, Bytes>> open_share(const bft::KeyRing& keys,
-                                                      bft::NodeId self,
-                                                      bft::NodeId from,
-                                                      BytesView body);
 
 }  // namespace scab::causal

@@ -29,7 +29,6 @@
 #include "host/host.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "secretshare/arss.h"
 #include "sim/network.h"
 
 namespace scab::bft {
@@ -86,7 +85,6 @@ struct ClusterOptions {
   uint32_t client_batch = 1;
 
   Cp1Options cp1;
-  secretshare::Arss2Mode arss2_mode = secretshare::Arss2Mode::kFast;
 
   /// Crypto worker-pool threads per host (DESIGN.md §12).  0 = inline
   /// completion on the submitting node's executor — the default, and the

@@ -90,18 +90,21 @@ std::unique_ptr<bft::ReplicaApp> make_replica_app(
     case Protocol::kPbft:
       return std::make_unique<PlainReplicaApp>(std::move(service));
     case Protocol::kCp0:
-      return std::make_unique<Cp0ReplicaApp>(
-          std::move(service), make_cp0_backend(ctx, replica_index));
+      return std::make_unique<RevealEngine>(
+          std::move(service),
+          std::make_unique<Cp0Scheme>(make_cp0_backend(ctx, replica_index)));
     case Protocol::kCp1:
       return std::make_unique<Cp1ReplicaApp>(
           std::move(service),
           crypto::NmCadCommitment(ctx.material->nmcad_key), ctx.cp1);
     case Protocol::kCp2:
-      return std::make_unique<Cp2ReplicaApp>(
-          std::move(service), crypto::Commitment(ctx.material->commitment_key));
+      return std::make_unique<RevealEngine>(
+          std::move(service),
+          std::make_unique<ArssScheme>(
+              crypto::Commitment(ctx.material->commitment_key)));
     case Protocol::kCp3:
-      return std::make_unique<Cp3ReplicaApp>(std::move(service),
-                                             ctx.arss2_mode);
+      return std::make_unique<RevealEngine>(
+          std::move(service), std::make_unique<ArssScheme>(std::nullopt));
   }
   return nullptr;
 }
@@ -121,10 +124,10 @@ std::unique_ptr<bft::ClientProtocol> make_client_protocol(
       return std::make_unique<Cp1ClientProtocol>(
           crypto::NmCadCommitment(ctx.material->nmcad_key));
     case Protocol::kCp2:
-      return std::make_unique<Cp2ClientProtocol>(
+      return std::make_unique<ArssClientProtocol>(
           crypto::Commitment(ctx.material->commitment_key));
     case Protocol::kCp3:
-      return std::make_unique<Cp3ClientProtocol>();
+      return std::make_unique<ArssClientProtocol>(std::nullopt);
   }
   return nullptr;
 }

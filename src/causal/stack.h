@@ -32,7 +32,6 @@
 #include "causal/service.h"
 #include "crypto/drbg.h"
 #include "crypto/modgroup.h"
-#include "secretshare/arss.h"
 
 namespace scab::bft {
 class ClientProtocol;
@@ -92,7 +91,6 @@ struct StackContext {
   const StackMaterial* material = nullptr;
   bft::BftConfig bft;
   Cp1Options cp1;
-  secretshare::Arss2Mode arss2_mode = secretshare::Arss2Mode::kFast;
   /// CP0: substitute the calibrated-cost oracle for real TDH2 (throughput
   /// sweeps only; never set by the daemon).
   bool cp0_modeled = false;

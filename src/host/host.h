@@ -124,16 +124,15 @@ class Host : public Clock,
 
 /// Mixin deduplicating the per-node host plumbing that every protocol class
 /// needs: identity, clock/timer/charge forwarding, and bind/unbind lifetime
-/// (bound on construction, unbound on destruction).  `Base` is the context
-/// interface the class implements (bft::ReplicaContext, bft::ClientContext);
-/// the forwarders implicitly override the matching context virtuals.
+/// (bound by the derived constructor's last statement, unbound on
+/// destruction).  `Base` is the context interface the class implements
+/// (bft::ReplicaContext, bft::ClientContext); the forwarders implicitly
+/// override the matching context virtuals.
 template <class Base>
 class HostBound : public Base, public Node {
  public:
   HostBound(Host& host, NodeId id, const CostModel& costs)
-      : host_(host), id_(id), costs_(costs) {
-    host_.bind(id_, this);
-  }
+      : host_(host), id_(id), costs_(costs) {}
   ~HostBound() override { host_.unbind(id_); }
 
   HostBound(const HostBound&) = delete;
@@ -154,6 +153,11 @@ class HostBound : public Base, public Node {
   Host& host() const { return host_; }
 
  protected:
+  /// Registers this node with the host.  The (final) derived class calls it
+  /// once it is fully constructed: a threaded host may deliver to the node
+  /// from its worker the moment it is bound, so binding here in the base
+  /// constructor would expose a half-built node.
+  void bind() { host_.bind(id_, this); }
   void send_raw(NodeId to, Bytes msg) { host_.send(id_, to, std::move(msg)); }
   const CostModel& costs() const { return costs_; }
 

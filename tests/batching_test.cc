@@ -28,9 +28,8 @@
 #include "bft/client.h"
 #include "bft/envelope.h"
 #include "bft/keyring.h"
-#include "causal/cp0.h"
-#include "causal/cp23.h"
 #include "causal/harness.h"
+#include "causal/reveal.h"
 #include "threshenc/hybrid.h"
 
 namespace scab {
@@ -251,47 +250,54 @@ TEST(BatchingReplica, FallbackTimerDrainsQueuedRequestsWithoutClientRetries) {
 }
 
 // Shares that arrive after a reveal completed are dropped on the floor and
-// must never resurrect reveal state for a finished request.
+// must never resurrect reveal state for a finished request — in every
+// protocol that runs the shared reveal engine.
 TEST(BatchingReplica, LateSharesAreDroppedWithoutResurrectingRevealState) {
-  ClusterOptions opts;
-  opts.protocol = Protocol::kCp0;
-  opts.bft = bft::BftConfig::for_f(1);
-  opts.num_clients = 1;
-  opts.seed = 19;
-  Cluster cluster(opts);
+  for (const auto& [protocol, counter] :
+       {std::pair{Protocol::kCp0, "cp0.late_shares_dropped"},
+        std::pair{Protocol::kCp2, "cp2.late_shares_dropped"},
+        std::pair{Protocol::kCp3, "cp3.late_shares_dropped"}}) {
+    SCOPED_TRACE(causal::protocol_name(protocol));
+    ClusterOptions opts;
+    opts.protocol = protocol;
+    opts.bft = bft::BftConfig::for_f(1);
+    opts.num_clients = 1;
+    opts.seed = 19;
+    Cluster cluster(opts);
 
-  // Replica 3's outbound traffic lags 50 ms: replicas 0-2 finish each
-  // reveal among themselves (f + 1 = 2 shares suffice), then 3's share
-  // lands on completed requests.
-  for (uint32_t r = 0; r < 3; ++r) {
-    cluster.faults().delay(3, r, 50 * host::kMillisecond);
-  }
-  constexpr int kOps = 12;
-  for (int i = 0; i < kOps; ++i) {
-    ASSERT_TRUE(
-        cluster.run_one(0, to_bytes("op-" + std::to_string(i))).has_value())
-        << i;
-  }
-  // Let the delayed shares land.
-  const host::Time settle = cluster.sim().now() + 1 * host::kSecond;
-  cluster.sim().run_while([&] { return cluster.sim().now() >= settle; });
+    // Replica 3's outbound traffic lags 50 ms: replicas 0-2 finish each
+    // reveal among themselves (f + 1 = 2 shares suffice for CP0/CP2, CP3's
+    // f + 2 = 3 include their own), then 3's share lands on completed
+    // requests.
+    for (uint32_t r = 0; r < 3; ++r) {
+      cluster.faults().delay(3, r, 50 * host::kMillisecond);
+    }
+    constexpr int kOps = 12;
+    for (int i = 0; i < kOps; ++i) {
+      ASSERT_TRUE(
+          cluster.run_one(0, to_bytes("op-" + std::to_string(i))).has_value())
+          << i;
+    }
+    // Let the delayed shares land.
+    const host::Time settle = cluster.sim().now() + 1 * host::kSecond;
+    cluster.sim().run_while([&] { return cluster.sim().now() >= settle; });
 
-  uint64_t dropped = 0;
-  for (uint32_t r = 0; r < 3; ++r) {
-    dropped +=
-        cluster.replica_metrics(r).counter("cp0.late_shares_dropped").value();
-  }
-  EXPECT_GT(dropped, 0u) << "the delay never produced a late share";
-  for (uint32_t r = 0; r < cluster.n(); ++r) {
-    const auto& app =
-        dynamic_cast<causal::Cp0ReplicaApp&>(cluster.replica_app(r));
-    EXPECT_EQ(app.pending_count(), 0u)
-        << "replica " << r << " resurrected reveal state for a finished op";
+    uint64_t dropped = 0;
+    for (uint32_t r = 0; r < 3; ++r) {
+      dropped += cluster.replica_metrics(r).counter(counter).value();
+    }
+    EXPECT_GT(dropped, 0u) << "the delay never produced a late share";
+    for (uint32_t r = 0; r < cluster.n(); ++r) {
+      const auto& app =
+          dynamic_cast<causal::RevealEngine&>(cluster.replica_app(r));
+      EXPECT_EQ(app.pending_count(), 0u)
+          << "replica " << r << " resurrected reveal state for a finished op";
+    }
   }
 }
 
 // CP2/CP3 stash shares that arrive before the commitment delivers in a
-// bounded per-sender FIFO (kCpMaxEarlySharesPerSender).  Flooding one
+// bounded per-sender FIFO (RevealEngine::kMaxEarlySharesPerSender).  Flooding one
 // replica with shares for requests it cannot deliver yet (its BFT traffic
 // is delayed) must leave the stash bounded — and the cluster must still
 // converge once the links heal, exercising the share re-request recovery
@@ -309,11 +315,7 @@ TEST_P(BatchingReplicaEarlyShares, StashStaysBoundedUnderFlood) {
   Cluster cluster(opts);
 
   auto early_count = [&](uint32_t r) -> std::size_t {
-    if (GetParam() == Protocol::kCp2) {
-      return dynamic_cast<causal::Cp2ReplicaApp&>(cluster.replica_app(r))
-          .early_share_count();
-    }
-    return dynamic_cast<causal::Cp3ReplicaApp&>(cluster.replica_app(r))
+    return dynamic_cast<causal::RevealEngine&>(cluster.replica_app(r))
         .early_share_count();
   };
 
@@ -323,8 +325,9 @@ TEST_P(BatchingReplicaEarlyShares, StashStaysBoundedUnderFlood) {
   for (uint32_t r = 0; r < 3; ++r) {
     cluster.faults().delay(r, 3, 1 * host::kSecond);
   }
-  constexpr int kOps = 40;  // > kCpMaxEarlySharesPerSender: forces eviction
-  static_assert(kOps > static_cast<int>(causal::kCpMaxEarlySharesPerSender));
+  constexpr int kOps = 40;  // > RevealEngine::kMaxEarlySharesPerSender: forces eviction
+  static_assert(kOps >
+                static_cast<int>(causal::RevealEngine::kMaxEarlySharesPerSender));
   for (int i = 0; i < kOps; ++i) {
     ASSERT_TRUE(
         cluster.run_one(0, to_bytes("op-" + std::to_string(i))).has_value())
@@ -335,7 +338,7 @@ TEST_P(BatchingReplicaEarlyShares, StashStaysBoundedUnderFlood) {
   // senders contributed, no per-sender FIFO may exceed the cap.  n + 1
   // distinct senders (replicas + the client) bound the total.
   const std::size_t cap =
-      causal::kCpMaxEarlySharesPerSender * (cluster.n() + 1);
+      causal::RevealEngine::kMaxEarlySharesPerSender * (cluster.n() + 1);
   EXPECT_GT(early_count(3), 0u) << "the flood never stashed an early share";
   EXPECT_LE(early_count(3), cap);
   const char* gauge = GetParam() == Protocol::kCp2 ? "cp2.early_shares"

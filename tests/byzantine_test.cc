@@ -7,9 +7,9 @@
 #include "apps/kvstore.h"
 #include "bft/client.h"
 #include "bft/replica.h"
-#include "causal/cp0.h"
 #include "causal/cp1.h"
 #include "causal/harness.h"
+#include "causal/reveal.h"
 
 namespace scab::causal {
 namespace {
@@ -243,11 +243,11 @@ TEST(Byzantine, Cp0BogusShareFloodCannotGrowState) {
 
   for (uint32_t i = 0; i < cluster.n(); ++i) {
     if (i == attacker) continue;
-    auto& app = dynamic_cast<Cp0ReplicaApp&>(cluster.replica_app(i));
+    auto& app = dynamic_cast<RevealEngine&>(cluster.replica_app(i));
     // No reveal state was created for undelivered ids, and the stash is
     // capped per sender regardless of flood volume.
     EXPECT_EQ(app.pending_count(), 0u) << "replica " << i;
-    EXPECT_LE(app.early_share_count(), Cp0ReplicaApp::kMaxEarlySharesPerSender)
+    EXPECT_LE(app.early_share_count(), RevealEngine::kMaxEarlySharesPerSender)
         << "replica " << i;
   }
 
@@ -255,6 +255,40 @@ TEST(Byzantine, Cp0BogusShareFloodCannotGrowState) {
   auto r = cluster.run_one(0, apps::KvStore::put("k", to_bytes("v")));
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(*r, to_bytes("ok"));
+}
+
+// Only replicas may re-collect shares: the re-request sentinel (a share
+// message with an empty share) from a client is ignored, so no client can
+// make replicas re-send their decryption shares.
+TEST(Byzantine, Cp0ClientCannotTriggerShareResends) {
+  auto opts = byz_options();
+  opts.protocol = Protocol::kCp0;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.run_one(0, apps::KvStore::put("k", to_bytes("v"))));
+
+  // The executed request's own-share wires sit in every replica's completed
+  // cache; a replica asking for them would be answered.
+  const NodeId client = Cluster::client_id(0);
+  const uint64_t seq = cluster.client(0).completed_ops();
+  for (uint64_t s = 0; s <= seq; ++s) {
+    Writer w;
+    RequestId{client, s}.write(w);
+    w.bytes(Bytes{});
+    const Bytes body = std::move(w).take();
+    for (NodeId r = 0; r < cluster.n(); ++r) {
+      cluster.net().send(client, r,
+                         bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
+                                            client, r, body));
+    }
+  }
+  cluster.sim().run_until(cluster.sim().now() + 100 * kMillisecond);
+  for (uint32_t i = 0; i < cluster.n(); ++i) {
+    EXPECT_EQ(cluster.replica_metrics(i)
+                  .counter("cp0.share_rerequests_answered")
+                  .value(),
+              0u)
+        << "replica " << i;
+  }
 }
 
 // Genuinely-early shares from correct peers still count once the request
@@ -276,7 +310,7 @@ TEST(Byzantine, Cp0EarlyShareStashStillServesCorrectPeers) {
   ASSERT_TRUE(done);
   cluster.sim().run_until(cluster.sim().now() + 100 * kMillisecond);
   for (uint32_t i = 0; i < cluster.n(); ++i) {
-    auto& app = dynamic_cast<Cp0ReplicaApp&>(cluster.replica_app(i));
+    auto& app = dynamic_cast<RevealEngine&>(cluster.replica_app(i));
     EXPECT_EQ(app.early_share_count(), 0u) << "replica " << i;
     EXPECT_EQ(app.pending_count(), 0u) << "replica " << i;
   }

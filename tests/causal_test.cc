@@ -136,26 +136,34 @@ TEST(Cp0, ModeledBackendRejectsOutOfRangeShareIndices) {
   const Bytes label = to_bytes("L");
   const Bytes ct = backend.encrypt(to_bytes("msg"), label, rng);
 
-  for (uint32_t index : {1u, 2u, 3u, 4u}) {
-    const auto share = backend.decryption_share(index, ct, label, rng);
-    ASSERT_TRUE(share.has_value());
-    EXPECT_TRUE(backend.verify_share(ct, label, *share)) << index;
+  auto share_at = [&](uint32_t index) {
+    auto share = backend.decryption_share_preverified(index, ct, label, rng);
+    EXPECT_TRUE(share.has_value()) << index;
+    return share.value_or(Bytes{});
+  };
+  // The batch verifier accepts exactly the in-range indices.
+  std::vector<Bytes> shares;
+  for (uint32_t index : {1u, 2u, 3u, 4u, 0u, 5u, 6u, 1000u}) {
+    shares.push_back(share_at(index));
   }
-  for (uint32_t index : {0u, 5u, 6u, 1000u}) {
-    const auto share = backend.decryption_share(index, ct, label, rng);
-    ASSERT_TRUE(share.has_value());
-    EXPECT_FALSE(backend.verify_share(ct, label, *share)) << index;
+  const auto verdict =
+      backend.make_batch_share_verifier(ct, label, shares, rng)();
+  ASSERT_EQ(verdict.verdicts.size(), shares.size());
+  EXPECT_EQ(verdict.shares, shares);
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    EXPECT_EQ(verdict.verdicts[i], i < 4 ? 1 : 0) << "share " << i;
   }
 
   // Above-n shares do not count toward the threshold.
   std::vector<Bytes> forged;
-  for (uint32_t index : {5u, 6u, 7u}) {
-    forged.push_back(*backend.decryption_share(index, ct, label, rng));
-  }
-  EXPECT_FALSE(backend.combine(ct, label, forged).has_value());
-  forged.push_back(*backend.decryption_share(1, ct, label, rng));
-  forged.push_back(*backend.decryption_share(2, ct, label, rng));
-  EXPECT_TRUE(backend.combine(ct, label, forged).has_value());
+  for (uint32_t index : {5u, 6u, 7u}) forged.push_back(share_at(index));
+  EXPECT_FALSE(
+      backend.combine_batch_preverified(ct, label, label, forged).has_value());
+  forged.push_back(share_at(1));
+  forged.push_back(share_at(2));
+  const auto opened = backend.combine_batch_preverified(ct, label, label, forged);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, std::vector<Bytes>{to_bytes("msg")});
 }
 
 TEST(Cp0, RequestContentHiddenUntilScheduled) {

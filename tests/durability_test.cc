@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "bft/client.h"
 #include "bft/replica.h"
 #include "causal/harness.h"
+#include "causal/id.h"
+#include "host/storage.h"
 
 namespace scab::causal {
 namespace {
@@ -173,6 +176,59 @@ TEST(DurabilitySim, WalAloneRecoversBeforeFirstCheckpoint) {
   }
   run_ops(cluster, 1, 100, 4);
   await_converged(cluster, 6);
+}
+
+// ---------------------------------------------------------------------------
+// Durable state the app cannot parse (e.g. an older layout) stops recovery
+
+TEST(DurabilitySim, UnparseableAppWalRecordFailsRecovery) {
+  for (Protocol p : {Protocol::kCp0, Protocol::kCp2, Protocol::kCp3}) {
+    SCOPED_TRACE(protocol_name(p));
+    ClusterOptions opts = base_options(p, RuntimeKind::kSim);
+    opts.durability = ClusterOptions::Durability::kMem;
+    Cluster cluster(opts);
+    run_ops(cluster, 0, 0, 2);  // WAL only: no checkpoint yet
+    await_converged(cluster, 2);
+
+    cluster.crash_replica(1);
+    // An execution record in the older `id | bytes plaintext` layout,
+    // behind the bft::Replica kApp tag (5).
+    Writer w;
+    w.u8(5);
+    RequestId{Cluster::client_id(0), 1}.write(w);
+    w.bytes(op(0));
+    cluster.host().storage(1)->append(std::move(w).take());
+    EXPECT_THROW(cluster.restart_replica(1), std::runtime_error);
+  }
+}
+
+TEST(DurabilitySim, UnknownAppSnapshotVersionFailsRecovery) {
+  for (Protocol p : {Protocol::kCp0, Protocol::kCp2, Protocol::kCp3}) {
+    SCOPED_TRACE(protocol_name(p));
+    ClusterOptions opts = base_options(p, RuntimeKind::kSim);
+    opts.durability = ClusterOptions::Durability::kMem;
+    Cluster cluster(opts);
+    run_ops(cluster, 0, 0, 10);
+    await_converged(cluster, 10);
+
+    cluster.crash_replica(1);
+    host::Storage& storage = *cluster.host().storage(1);
+    const Bytes snap = storage.get("snapshot").value();
+    // The snapshot ends with `bytes app_blob`, and the app blob opens with
+    // its u32 state version (2): find it and stamp version 1 instead.
+    std::size_t at = 0;
+    for (std::size_t o = snap.size() - 8; o > 0 && at == 0; --o) {
+      Reader r(BytesView(snap).subspan(o));
+      if (o + 4 + r.u32() == snap.size() && r.u32() == 2) at = o + 4;
+    }
+    ASSERT_NE(at, 0u);
+    Writer w;
+    w.raw(BytesView(snap).first(at));
+    w.u32(1);
+    w.raw(BytesView(snap).subspan(at + 4));
+    storage.put("snapshot", std::move(w).take());
+    EXPECT_THROW(cluster.restart_replica(1), std::runtime_error);
+  }
 }
 
 TEST(DurabilityThreads, MemFullClusterRestartRecovers) {
