@@ -557,11 +557,6 @@ void Cp0ClientProtocol::start(uint64_t client_seq, BytesView op,
     }
     ctx.charge(Op::kHash, total);
     ciphertext_ = backend_->encrypt_batch(*batch, id.encode(), ctx.rng());
-  } else if (batch && batch->size() == 1) {
-    // Degenerate frame: unwrap so the wire stays bit-identical to the
-    // unbatched single-request path.
-    ctx.charge(Op::kTdh2Encrypt, (*batch)[0].size());
-    ciphertext_ = backend_->encrypt((*batch)[0], id.encode(), ctx.rng());
   } else {
     ctx.charge(Op::kTdh2Encrypt, op.size());
     ciphertext_ = backend_->encrypt(op, id.encode(), ctx.rng());

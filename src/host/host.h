@@ -126,9 +126,12 @@ class Host : public Clock,
 /// needs: identity, clock/timer/charge forwarding, and bind/unbind lifetime
 /// (bound by the derived constructor's last statement, unbound on
 /// destruction).  `Base` is the context interface the class implements
-/// (bft::ReplicaContext, bft::ClientContext); the forwarders implicitly
+/// (bft::ReplicaContext), or the empty NoContext for a node that hands its
+/// context out per operation (bft::Client); the forwarders implicitly
 /// override the matching context virtuals.
-template <class Base>
+struct NoContext {};
+
+template <class Base = NoContext>
 class HostBound : public Base, public Node {
  public:
   HostBound(Host& host, NodeId id, const CostModel& costs)
