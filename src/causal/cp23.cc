@@ -41,8 +41,9 @@ struct ArssScheme::Reconstructor {
     return arss1 ? arss1->attempts() : arss2->attempts();
   }
   /// Feeds one share wire (unparseable ones are skipped); `len` receives
-  /// its secret length.
-  std::optional<Bytes> add(BytesView wire, std::size_t& len) {
+  /// its secret length.  `own` marks our own share, which ARSS2 takes as
+  /// its anchor.
+  std::optional<Bytes> add(BytesView wire, std::size_t& len, bool own) {
     if (arss1) {
       const auto share = Arss1Share::parse(wire);
       if (!share) return std::nullopt;
@@ -52,7 +53,7 @@ struct ArssScheme::Reconstructor {
     const auto share = ShamirShare::parse(wire);
     if (!share) return std::nullopt;
     len = share->secret_len;
-    return arss2->add(*share);
+    return own ? arss2->anchor(*share) : arss2->add(*share);
   }
 };
 
@@ -113,18 +114,18 @@ std::size_t ArssScheme::start(RecoveryState& s, BytesView payload,
 
 RecoverJob ArssScheme::recover(RecoveryState& s, BytesView /*payload*/,
                                std::vector<Share> batch,
-                               bft::ReplicaContext& /*ctx*/) {
+                               bft::ReplicaContext& ctx) {
   // The reconstructor is handed to the job; `commitment_` is only read
   // (const) through it, which is safe off-thread.
   return [this, rec = std::move(static_cast<State&>(s).rec),
-          batch = std::move(batch)]() -> Landing {
+          batch = std::move(batch), self = ctx.id()]() -> Landing {
     // Per-share attempt deltas, so the landing charges the modeled costs.
     std::vector<std::pair<std::size_t, std::size_t>> fed;  // (attempts, len)
     std::optional<Bytes> secret;
     for (const Share& share : batch) {
       const std::size_t before = rec->attempts();
       std::size_t len = 0;
-      secret = rec->add(share.wire, len);
+      secret = rec->add(share.wire, len, share.from == self);
       fed.emplace_back(rec->attempts() - before, len);
       if (secret) break;
     }

@@ -310,9 +310,23 @@ void RevealEngine::on_causal_message(NodeId from, BytesView body,
     m_.early_shares->set(static_cast<int64_t>(early_share_count()));
     return;
   }
-  if (take_share(id, it->second, from, std::move(wire), ctx)) {
-    advance(id, it->second, ctx);
+  Reveal& p = it->second;
+  if (scheme_->traits.client_deals && from == id.client && p.own.empty() &&
+      !p.seen.contains(from)) {
+    // Our dealt share, after delivery: it gets the standing an on-time one
+    // gets in start_reveal — sent to the peers at once, and fed into
+    // recovery as our own share (ARSS2's trusted anchor).  Parked until
+    // the retry instead, it left a replica with only 2f live peers unable
+    // to reach ARSS2's f + 2 unanchored shares.
+    p.seen.insert(from);
+    p.own = std::move(wire);
+    send_share(id, p.own, std::nullopt, ctx);
+    if (p.revealed) return;
+    p.backlog.push_back(Share{ctx.id(), p.own});
+    advance(id, p, ctx);
+    return;
   }
+  if (take_share(id, p, from, std::move(wire), ctx)) advance(id, p, ctx);
 }
 
 // ---------------------------------------------------------------------------

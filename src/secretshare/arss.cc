@@ -192,6 +192,17 @@ std::optional<Bytes> Arss2Reconstructor::add(const ShamirShare& share) {
   return std::nullopt;
 }
 
+std::optional<Bytes> Arss2Reconstructor::anchor(const ShamirShare& own) {
+  if (done_ || has_own_ || own.index == 0) return std::nullopt;
+  std::erase_if(shares_,
+                [&](const ShamirShare& s) { return s.index == own.index; });
+  shares_.insert(shares_.begin(), own);
+  has_own_ = true;
+  auto secret = try_recover();
+  done_ = secret.has_value();
+  return secret;
+}
+
 std::optional<Bytes> Arss2Reconstructor::try_recover() {
   const std::size_t want = f_ + 2;  // consistent subset size
   std::optional<Bytes> result;

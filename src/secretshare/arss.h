@@ -135,6 +135,10 @@ class Arss2Reconstructor {
   /// Feeds one share (shares from distinct servers; duplicates by index are
   /// ignored). Returns the secret once a consistent subset exists.
   std::optional<Bytes> add(const ShamirShare& share);
+  /// Our own share arriving after construction: it becomes the trusted
+  /// anchor exactly as if passed to the constructor (replacing any share
+  /// that claimed its index).  No-op once anchored or done.
+  std::optional<Bytes> anchor(const ShamirShare& own);
 
   bool done() const { return done_; }
   std::size_t attempts() const { return attempts_; }

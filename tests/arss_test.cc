@@ -252,6 +252,36 @@ TEST_P(ArssTest, Arss2WithoutOwnShare) {
   EXPECT_EQ(*out, secret_);
 }
 
+TEST_P(ArssTest, Arss2LateAnchorRecoversFromFPlusOneOthers) {
+  // CP3 with the dealt share arriving after f+1 foreign ones: too few to
+  // recover unanchored, enough once our own share anchors the subsets.
+  const auto shares = arss2_share(secret_, f(), n(), rng_);
+  Arss2Reconstructor rec(f());
+  for (uint32_t i = 1; i <= f() + 1; ++i) {
+    EXPECT_FALSE(rec.add(shares[i]).has_value());
+  }
+  const auto out = rec.anchor(shares[0]);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, secret_);
+  EXPECT_FALSE(rec.anchor(shares[0]).has_value());  // done
+}
+
+TEST_P(ArssTest, Arss2LateAnchorDisplacesAForgedShareOfItsIndex) {
+  // A corrupt share claiming our index must not survive next to the anchor.
+  const auto shares = arss2_share(secret_, f(), n(), rng_);
+  Arss2Reconstructor rec(f());
+  ShamirShare forged = shares[0];
+  for (auto& v : forged.values) v = v + Fe(7);
+  EXPECT_FALSE(rec.add(forged).has_value());
+  for (uint32_t i = 1; i <= f(); ++i) {
+    EXPECT_FALSE(rec.add(shares[i]).has_value());
+  }
+  EXPECT_FALSE(rec.anchor(shares[0]).has_value());  // own + f others
+  const auto out = rec.add(shares[f() + 1]);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, secret_);
+}
+
 TEST_P(ArssTest, Arss2IgnoresDuplicatesAndDoneState) {
   const auto shares = arss2_share(secret_, f(), n(), rng_);
   Arss2Reconstructor rec(f(), shares[0]);

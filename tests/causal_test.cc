@@ -11,6 +11,7 @@
 #include "causal/cp0.h"
 #include "causal/cp1.h"
 #include "causal/harness.h"
+#include "causal/reveal.h"
 
 namespace scab::causal {
 namespace {
@@ -395,6 +396,39 @@ TEST(FrontRunning, FailsAgainstCp2) {
   // Executed at the initial, unmanipulated price.
   EXPECT_EQ(*fill, to_bytes("filled:100@" +
                             std::to_string(apps::TradingService::kInitialPriceCents)));
+}
+
+// A share the client dealt that reaches its replica only after delivery
+// must count as that replica's own share, as an on-time one does: sent to
+// the peers at once and fed into recovery (for CP3's ARSS2, as the trusted
+// anchor).  With one backup down the late replica has only 2f live peers,
+// and ARSS2 without its anchor needs f + 2 peer shares, so before this held
+// the late replica never revealed and its execution queue stalled for good.
+TEST(LateDealtShare, CountsAsOwnShareWithOneBackupDown) {
+  for (Protocol p : {Protocol::kCp2, Protocol::kCp3}) {
+    SCOPED_TRACE(protocol_name(p));
+    Cluster cluster(options_for(p, 1));
+    cluster.faults().crash(3);
+    // Replica 1 still gets each request early through the primary's
+    // pre-prepare, but the client's shares to it lag well past delivery.
+    cluster.faults().delay(Cluster::client_id(0), 1, 20 * kMillisecond);
+
+    constexpr int kOps = 10;
+    const sim::SimTime start = cluster.sim().now();
+    for (int i = 0; i < kOps; ++i) {
+      ASSERT_TRUE(
+          cluster.run_one(0, to_bytes("op-" + std::to_string(i))).has_value())
+          << i;
+    }
+    // Each op waits out the lag once, never the 500 ms reveal retry.
+    EXPECT_LT(cluster.sim().now() - start, kOps * 100 * kMillisecond);
+    const sim::SimTime settle = cluster.sim().now() + 1 * kSecond;
+    cluster.sim().run_while([&] { return cluster.sim().now() >= settle; });
+    for (uint32_t r = 0; r < 3; ++r) {
+      const auto& app = dynamic_cast<RevealEngine&>(cluster.replica_app(r));
+      EXPECT_EQ(app.pending_count(), 0u) << "replica " << r << " stalled";
+    }
+  }
 }
 
 }  // namespace
