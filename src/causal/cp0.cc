@@ -353,8 +353,7 @@ Cp0Scheme::Cp0Scheme(std::unique_ptr<Cp0Backend> backend)
                     // is a verification batch and keeps its own name.
                     .flush_histogram = "verify_batch_size",
                     .recovered_counter = "combines",
-                    .client_deals = false,
-                    .restart_on_restore = false}),
+                    .client_deals = false}),
       backend_(std::move(backend)) {}
 
 void Cp0Scheme::bind_metrics(obs::MetricsRegistry& reg) {

@@ -61,8 +61,7 @@ ArssScheme::ArssScheme(std::optional<crypto::Commitment> commitment)
     : RevealScheme({.prefix = commitment ? "cp2" : "cp3",
                     .flush_histogram = "batch_size",
                     .recovered_counter = "reconstructions",
-                    .client_deals = true,
-                    .restart_on_restore = true}),
+                    .client_deals = true}),
       commitment_(std::move(commitment)) {}
 
 void ArssScheme::bind_metrics(obs::MetricsRegistry& reg) {

@@ -419,15 +419,12 @@ bool RevealEngine::restore_state(BytesView blob, bft::ReplicaContext& ctx) {
   completed_shares_order_ = std::move(order);
   exec_queue_ = std::move(queue);
   pending_ = std::move(pending);
-  // Restart the reveal machinery for everything in flight; the retry timer
-  // re-requests the peers' shares once the node is live.
+  // Restart the reveal machinery for everything in flight (our own share is
+  // re-sent and re-fed); the retry timer re-requests the peers' shares once
+  // the node is live.
   for (auto& [id, p] : pending_) {
     if (p.revealed) continue;
-    if (scheme_->traits.restart_on_restore) {
-      start_reveal(id, p, ctx);
-    } else {
-      scheme_->start(*p.state, p.payload, p.own, p.backlog, ctx);
-    }
+    start_reveal(id, p, ctx);
     arm_reveal_retry(id, 0, ctx);
   }
   m_.pending->set(static_cast<int64_t>(pending_.size()));

@@ -68,9 +68,6 @@ struct SchemeTraits {
   const char* recovered_counter;  // under prefix: requests recovered
   /// Our own share is the one the client dealt us (else made at delivery).
   bool client_deals;
-  /// Restore re-sends and re-feeds our own share (else it only re-arms the
-  /// retry, which re-sends it later).
-  bool restart_on_restore;
 };
 
 class RevealScheme {

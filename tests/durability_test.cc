@@ -178,6 +178,47 @@ TEST(DurabilitySim, WalAloneRecoversBeforeFirstCheckpoint) {
   await_converged(cluster, 6);
 }
 
+// A snapshot can hold requests a replica delivered but has not revealed yet:
+// restore must restart their reveals (our own share re-sent and re-fed,
+// the peers' shares re-requested) so each executes exactly once.
+TEST(DurabilitySim, RestoredUnrevealedRequestsExecuteExactlyOnce) {
+  for (Protocol p : {Protocol::kCp0, Protocol::kCp2, Protocol::kCp3}) {
+    SCOPED_TRACE(protocol_name(p));
+    ClusterOptions opts = base_options(p, RuntimeKind::kSim);
+    opts.durability = ClusterOptions::Durability::kMem;
+    Cluster cluster(opts);
+
+    // Replica 3 keeps ordering but hears no peer's share (nor, for CP0,
+    // enough to decrypt), so it delivers every request and reveals none —
+    // across the checkpoint at sequence 4.
+    constexpr uint32_t kHeld = 3;
+    cluster.faults().set_tamper(
+        [](host::NodeId from, host::NodeId to,
+           BytesView msg) -> std::optional<Bytes> {
+          const bool peer_share =
+              to == kHeld && from < kHeld && !msg.empty() &&
+              msg[0] == static_cast<uint8_t>(bft::Channel::kCausal);
+          if (peer_share) return std::nullopt;
+          return Bytes(msg.begin(), msg.end());
+        });
+    constexpr int kOps = 6;
+    run_ops(cluster, 0, 0, kOps);
+    EXPECT_EQ(echo(cluster, kHeld).executed(), 0u);
+    ASSERT_TRUE(cluster.host().storage(kHeld)->get("snapshot").has_value());
+
+    cluster.crash_replica(kHeld);
+    cluster.faults().clear_tamper();
+    cluster.restart_replica(kHeld);
+    EXPECT_GE(cluster.replica_metrics(kHeld)
+                  .counter("bft.recovery.snapshot_loaded")
+                  .value(),
+              1u);
+    await_converged(cluster, kOps);
+    run_ops(cluster, 1, 100, 2);
+    await_converged(cluster, kOps + 2);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Durable state the app cannot parse (e.g. an older layout) stops recovery
 
