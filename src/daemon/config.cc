@@ -1,11 +1,14 @@
 #include "daemon/config.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
+
+#include "bft/batch.h"
 
 namespace scab::daemon {
 
@@ -130,6 +133,36 @@ std::optional<ClusterConfig> parse_cluster_config(std::string_view text,
       continue;
     }
 
+    // Numeric keys with their accepted range: the one place these bounds
+    // live (scab-keygen validates its output through this parser).
+    const struct {
+      const char* key;
+      uint32_t* field;
+      uint32_t lo, hi;
+    } bounded[] = {
+        {"max_batch", &cfg.bft.max_batch, 1, 4096},
+        {"max_inflight_batches", &cfg.bft.max_inflight_batches, 1, UINT32_MAX},
+        {"client_inflight", &cfg.client_inflight, 1, 1024},
+        // A larger client frame would be refused by decode_op_batch and
+        // run as one op.
+        {"client_batch", &cfg.client_batch, 1, bft::kMaxOpBatch},
+        {"threads", &cfg.threads, 0, 256},
+        {"io_threads", &cfg.io_threads, 1, 64},
+    };
+    if (auto b = std::find_if(std::begin(bounded), std::end(bounded),
+                              [&](const auto& b) { return key == b.key; });
+        b != std::end(bounded)) {
+      uint32_t v = 0;
+      if (!parse_u32(value, &v) || v < b->lo || v > b->hi) {
+        *err = at_line(lineno, "invalid " + key + " '" + value + "' (want " +
+                                   std::to_string(b->lo) + ".." +
+                                   std::to_string(b->hi) + ")");
+        return std::nullopt;
+      }
+      *b->field = v;
+      continue;
+    }
+
     if (key == "protocol") {
       const auto p = causal::protocol_from_name(value);
       if (!p) {
@@ -170,39 +203,6 @@ std::optional<ClusterConfig> parse_cluster_config(std::string_view text,
         return std::nullopt;
       }
       cfg.bft.checkpoint_interval = v;
-    } else if (key == "max_batch") {
-      if (!parse_u32(value, &cfg.bft.max_batch) || cfg.bft.max_batch == 0) {
-        *err = at_line(lineno, "invalid max_batch '" + value + "'");
-        return std::nullopt;
-      }
-    } else if (key == "max_inflight_batches") {
-      if (!parse_u32(value, &cfg.bft.max_inflight_batches) ||
-          cfg.bft.max_inflight_batches == 0) {
-        *err = at_line(lineno, "invalid max_inflight_batches '" + value + "'");
-        return std::nullopt;
-      }
-    } else if (key == "client_inflight") {
-      if (!parse_u32(value, &cfg.client_inflight) ||
-          cfg.client_inflight == 0) {
-        *err = at_line(lineno, "invalid client_inflight '" + value + "'");
-        return std::nullopt;
-      }
-    } else if (key == "client_batch") {
-      if (!parse_u32(value, &cfg.client_batch) || cfg.client_batch == 0) {
-        *err = at_line(lineno, "invalid client_batch '" + value + "'");
-        return std::nullopt;
-      }
-    } else if (key == "threads") {
-      if (!parse_u32(value, &cfg.threads)) {
-        *err = at_line(lineno, "invalid threads '" + value + "'");
-        return std::nullopt;
-      }
-    } else if (key == "io_threads") {
-      if (!parse_u32(value, &cfg.io_threads) || cfg.io_threads == 0) {
-        *err = at_line(lineno, "invalid io_threads '" + value +
-                                   "' (want >= 1)");
-        return std::nullopt;
-      }
     } else if (key == "keys") {
       cfg.keys_file = value;
     } else if (key == "durability") {

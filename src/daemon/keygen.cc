@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <random>
 #include <string>
 
@@ -62,6 +63,15 @@ int main(int argc, char** argv) {
   std::string out_dir = ".";
   std::string group;
 
+  // Flags whose bounds live in the config parser.
+  const std::map<std::string, uint32_t*> u32_flags = {
+      {"--max-batch", &cfg.bft.max_batch},
+      {"--client-inflight", &cfg.client_inflight},
+      {"--client-batch", &cfg.client_batch},
+      {"--threads", &cfg.threads},
+      {"--io-threads", &cfg.io_threads},
+  };
+
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (i + 1 >= argc) return usage(argv[0]);
@@ -109,38 +119,14 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.bft.checkpoint_interval = u;
-    } else if (arg == "--max-batch") {
-      if (!parse_u64_arg(val, &u) || u < 1 || u > 4096) {
-        std::fprintf(stderr, "scab-keygen: invalid --max-batch '%s'\n", val);
-        return 2;
-      }
-      cfg.bft.max_batch = static_cast<uint32_t>(u);
-    } else if (arg == "--client-inflight") {
-      if (!parse_u64_arg(val, &u) || u < 1 || u > 1024) {
-        std::fprintf(stderr, "scab-keygen: invalid --client-inflight '%s'\n",
+    } else if (auto field = u32_flags.find(arg); field != u32_flags.end()) {
+      // Range-checked by the round-trip parse below.
+      if (!parse_u64_arg(val, &u) || u > UINT32_MAX) {
+        std::fprintf(stderr, "scab-keygen: invalid %s '%s'\n", arg.c_str(),
                      val);
         return 2;
       }
-      cfg.client_inflight = static_cast<uint32_t>(u);
-    } else if (arg == "--client-batch") {
-      if (!parse_u64_arg(val, &u) || u < 1 || u > 4096) {
-        std::fprintf(stderr, "scab-keygen: invalid --client-batch '%s'\n",
-                     val);
-        return 2;
-      }
-      cfg.client_batch = static_cast<uint32_t>(u);
-    } else if (arg == "--threads") {
-      if (!parse_u64_arg(val, &u) || u > 256) {
-        std::fprintf(stderr, "scab-keygen: invalid --threads '%s'\n", val);
-        return 2;
-      }
-      cfg.threads = static_cast<uint32_t>(u);
-    } else if (arg == "--io-threads") {
-      if (!parse_u64_arg(val, &u) || u < 1 || u > 64) {
-        std::fprintf(stderr, "scab-keygen: invalid --io-threads '%s'\n", val);
-        return 2;
-      }
-      cfg.io_threads = static_cast<uint32_t>(u);
+      *field->second = static_cast<uint32_t>(u);
     } else if (arg == "--durability") {
       cfg.durability = val;  // validated by the round-trip parse below
     } else if (arg == "--data-dir") {

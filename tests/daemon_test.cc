@@ -123,6 +123,16 @@ TEST(ClusterConfigParse, RejectsBrokenConfigs) {
                "client_inflight = 1", "client_inflight = 4"),
        "requires protocol cp0"},
       {"no replicas", "protocol = cp0\nf = 1\nkeys = k\n", "no 'replica"},
+      // decode_op_batch refuses a larger frame: the replicas would run
+      // the whole batch as one op.
+      {"client_batch above the op-batch cap",
+       replace(good, "client_batch = 1", "client_batch = 4097"),
+       "invalid client_batch '4097' (want 1..4096)"},
+      {"client_inflight above its cap",
+       replace(good, "client_inflight = 1", "client_inflight = 1025"),
+       "invalid client_inflight"},
+      {"io_threads zero", good + "io_threads = 0\n", "invalid io_threads"},
+      {"threads above its cap", good + "threads = 257\n", "invalid threads"},
   };
   for (const auto& c : cases) {
     std::string err;
