@@ -29,8 +29,11 @@ class Aes256 {
   /// True when the hardware path is in use (exposed for tests/benches).
   static bool has_aesni();
 
- private:
+  /// The T-table software path, whatever the CPU (exposed so tests can
+  /// check it on hosts where encrypt_block never takes it).
   void encrypt_block_soft(uint8_t block[kAesBlockSize]) const;
+
+ private:
   void encrypt_block_ni(uint8_t block[kAesBlockSize]) const;
 
   // 15 round keys of 16 bytes each (14 rounds + initial whitening), both as

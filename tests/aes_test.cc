@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/drbg.h"
+
 namespace scab::crypto {
 namespace {
 
@@ -16,6 +18,40 @@ TEST(Aes256, Fips197KnownAnswer) {
   cipher.encrypt_block(block);
   EXPECT_EQ(hex_encode(BytesView(block, 16)),
             "8ea2b7ca516745bfeafc49904b496089");
+}
+
+// The software path never runs on an AES-NI host unless called directly.
+TEST(Aes256, SoftwarePathMatchesFips197) {
+  const Bytes key = hex_decode(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  const Bytes pt = hex_decode("00112233445566778899aabbccddeeff");
+  Aes256 cipher(key);
+  uint8_t block[16];
+  std::copy(pt.begin(), pt.end(), block);
+  cipher.encrypt_block_soft(block);
+  EXPECT_EQ(hex_encode(BytesView(block, 16)),
+            "8ea2b7ca516745bfeafc49904b496089");
+}
+
+TEST(Aes256, SoftwarePathMatchesDispatchedPathOnRandomBlocks) {
+  if (!Aes256::has_aesni()) {
+    GTEST_SKIP() << "no AES-NI: encrypt_block already is the software path";
+  }
+  Drbg rng(to_bytes("aes-soft-vs-ni"));
+  for (int k = 0; k < 8; ++k) {
+    Aes256 cipher(rng.generate(kAes256KeySize));
+    for (int i = 0; i < 64; ++i) {
+      const Bytes pt = rng.generate(kAesBlockSize);
+      uint8_t soft[16];
+      uint8_t hw[16];
+      std::copy(pt.begin(), pt.end(), soft);
+      std::copy(pt.begin(), pt.end(), hw);
+      cipher.encrypt_block_soft(soft);
+      cipher.encrypt_block(hw);
+      ASSERT_EQ(hex_encode(BytesView(soft, 16)), hex_encode(BytesView(hw, 16)))
+          << "key " << k << " block " << i;
+    }
+  }
 }
 
 // NIST SP 800-38A F.5.5: CTR-AES256 encryption (first two blocks; the
