@@ -42,7 +42,6 @@ struct Client::Slot final : ClientContext {
 
   NodeId id() const override { return c.id(); }
   const BftConfig& config() const override { return c.config_; }
-  host::Time now() const override { return c.now(); }
   void send_request(uint64_t client_seq, Bytes payload) override {
     const Bytes body =
         ClientRequestMsg{client_seq, std::move(payload)}.serialize();

@@ -32,7 +32,6 @@ class ClientContext {
 
   virtual NodeId id() const = 0;
   virtual const BftConfig& config() const = 0;
-  virtual host::Time now() const = 0;
 
   /// Multicasts a request payload to all replicas (Aardvark-style).
   virtual void send_request(uint64_t client_seq, Bytes payload) = 0;
