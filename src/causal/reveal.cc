@@ -311,14 +311,13 @@ void RevealEngine::on_causal_message(NodeId from, BytesView body,
     return;
   }
   Reveal& p = it->second;
-  if (scheme_->traits.client_deals && from == id.client && p.own.empty() &&
-      !p.seen.contains(from)) {
+  if (scheme_->traits.client_deals && from == id.client) {
     // Our dealt share, after delivery: it gets the standing an on-time one
     // gets in start_reveal — sent to the peers at once, and fed into
     // recovery as our own share (ARSS2's trusted anchor).  Parked until
     // the retry instead, it left a replica with only 2f live peers unable
     // to reach ARSS2's f + 2 unanchored shares.
-    p.seen.insert(from);
+    if (!p.own.empty() || !p.seen.insert(from).second) return;
     p.own = std::move(wire);
     send_share(id, p.own, std::nullopt, ctx);
     if (p.revealed) return;
