@@ -14,7 +14,8 @@
 #     the checkpoint protocol (bft.recovery.catchups_completed >= 1) and
 #     converged to the same executed count;
 #   * after the power loss, every replica recovered from snapshot + WAL
-#     (bft.recovery.snapshot_loaded >= 1, required_durability section) and
+#     (bft.recovery.snapshot_loaded >= 1, required_durability section),
+#     the cluster served a further phase of ops, and every replica
 #     converged to EXACTLY the grand-total count — nothing lost, nothing
 #     re-executed;
 #   * every dump is schema-valid JSON (required_daemon section).
@@ -33,9 +34,9 @@ F="${F:-1}"
 N=$((3 * F + 1))
 SEED="${SEED:-42}"
 BASE_PORT="${BASE_PORT:-$((20000 + RANDOM % 12500))}"
-OPS_A=20 OPS_B=20 OPS_C=40 OPS_D=60
+OPS_A=20 OPS_B=20 OPS_C=40 OPS_D=60 OPS_E=16
 TOTAL=$((OPS_A + OPS_B + OPS_C))
-GRAND_TOTAL=$((TOTAL + OPS_D))
+GRAND_TOTAL=$((TOTAL + OPS_D + OPS_E))
 # CP1 runs each logical op as two BFT requests (commit + reveal).
 EXPECTED=$TOTAL
 EXPECTED_D=$GRAND_TOTAL
@@ -65,11 +66,15 @@ trap cleanup EXIT
 # durability=fsync + a data dir: replicas WAL every acceptance/execution
 # and snapshot at stable checkpoints, which is what phase D recovers from.
 "$BIN/scab-keygen" --f "$F" --protocol "$PROTOCOL" --seed "$SEED" \
-  --base-port "$BASE_PORT" --clients 4 --checkpoint-interval 8 \
+  --base-port "$BASE_PORT" --clients 5 --checkpoint-interval 8 \
   --durability fsync --data-dir data --out "$DIR"
 
+# A restarted replica dies of SIGUSR1 until it has blocked the signal, so
+# nothing signals it before its next "up" line.
+declare -a UP_LINES=()
 start_replica() {
   local i=$1
+  UP_LINES[$i]=$(grep -c " up " "$DIR/scabd-$i.log" 2>/dev/null || true)
   "$BIN/scabd" --config "$DIR/cluster.conf" --replica "$i" \
     --metrics-out "$DIR/metrics-$i.json" 2>>"$DIR/scabd-$i.log" &
   PIDS[$i]=$!
@@ -89,6 +94,17 @@ for i in $(seq 0 $((N - 1))); do
   fi
 done
 
+wait_up() { # <replica>
+  for attempt in $(seq 1 40); do
+    if [ "$(grep -c " up " "$DIR/scabd-$1.log")" -gt "${UP_LINES[$1]:-0}" ]; then
+      return 0
+    fi
+    sleep 0.25
+  done
+  echo "run_cluster: replica $1 never came back up" >&2
+  exit 1
+}
+
 run_client() { # <id> <ops>
   "$BIN/scab-client" --config "$DIR/cluster.conf" --id "$1" --ops "$2" \
     --timeout-s 120
@@ -104,6 +120,7 @@ run_client 101 "$OPS_B"
 echo "== phase C: restart replica $((N - 1)), $OPS_C ops"
 start_replica $((N - 1))
 run_client 102 "$OPS_C"
+wait_up $((N - 1))
 
 echo "== validating metrics dumps"
 # The restarted replica finishes catch-up asynchronously; poll its dump.
@@ -156,6 +173,13 @@ if ! wait "$CLIENT_PID"; then
   echo "run_cluster: phase D client did not complete after the power loss" >&2
   exit 1
 fi
+for i in $(seq 0 $((N - 1))); do wait_up "$i"; done
+
+# A fast protocol can finish phase D before the power loss, and a replica
+# that lagged at the kill only catches up through a checkpoint, which
+# needs new requests: this phase orders two checkpoint intervals' worth.
+echo "== phase E: $OPS_E ops against the recovered cluster"
+run_client 104 "$OPS_E"
 
 # Every replica must converge to EXACTLY the grand total (fewer = loss,
 # more = re-execution after recovery) having loaded its snapshot, with the
