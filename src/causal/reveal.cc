@@ -314,9 +314,9 @@ void RevealEngine::on_causal_message(NodeId from, BytesView body,
   if (scheme_->traits.client_deals && from == id.client) {
     // Our dealt share, after delivery: it gets the standing an on-time one
     // gets in start_reveal — sent to the peers at once, and fed into
-    // recovery as our own share (ARSS2's trusted anchor).  Parked until
-    // the retry instead, it left a replica with only 2f live peers unable
-    // to reach ARSS2's f + 2 unanchored shares.
+    // recovery as our own share (ARSS2's trusted anchor).  Without the
+    // anchor ARSS2 needs f + 2 peer shares, more than the 2f live peers a
+    // replica has while another one is down.
     if (!p.own.empty() || !p.seen.insert(from).second) return;
     p.own = std::move(wire);
     send_share(id, p.own, std::nullopt, ctx);

@@ -160,10 +160,7 @@ Arss2Reconstructor::Arss2Reconstructor(uint32_t f,
                                        std::optional<ShamirShare> own_share,
                                        Arss2Mode mode)
     : f_(f), mode_(mode) {
-  if (own_share) {
-    has_own_ = true;
-    shares_.push_back(std::move(*own_share));
-  }
+  if (own_share) anchor(std::move(*own_share));
 }
 
 std::size_t Arss2Reconstructor::pool_cap() const {
@@ -192,11 +189,11 @@ std::optional<Bytes> Arss2Reconstructor::add(const ShamirShare& share) {
   return std::nullopt;
 }
 
-std::optional<Bytes> Arss2Reconstructor::anchor(const ShamirShare& own) {
+std::optional<Bytes> Arss2Reconstructor::anchor(ShamirShare own) {
   if (done_ || has_own_ || own.index == 0) return std::nullopt;
   std::erase_if(shares_,
                 [&](const ShamirShare& s) { return s.index == own.index; });
-  shares_.insert(shares_.begin(), own);
+  shares_.insert(shares_.begin(), std::move(own));
   has_own_ = true;
   auto secret = try_recover();
   done_ = secret.has_value();

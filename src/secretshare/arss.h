@@ -138,7 +138,7 @@ class Arss2Reconstructor {
   /// Our own share arriving after construction: it becomes the trusted
   /// anchor exactly as if passed to the constructor (replacing any share
   /// that claimed its index).  No-op once anchored or done.
-  std::optional<Bytes> anchor(const ShamirShare& own);
+  std::optional<Bytes> anchor(ShamirShare own);
 
   bool done() const { return done_; }
   std::size_t attempts() const { return attempts_; }
