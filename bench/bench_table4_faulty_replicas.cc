@@ -1,6 +1,6 @@
 // Table IV — latency in ms with f Byzantine replicas contributing faulty
 // decryption/secret shares (LAN), for the share-based protocols — plus a
-// crash/restart recovery drill per cell driven through host::FaultInjector.
+// crash/restart recovery drill per cell driven through host::FaultPlan.
 //
 // The two fault models are deliberately distinct:
 //   * Faulty shares are a Byzantine *signer* fault (corrupt_replica_shares);
@@ -84,7 +84,7 @@ void run_table4(bool json) {
                       profile, protocols, /*corrupt_f_replicas=*/true);
     print_header("Table IV addendum — crash/restart recovery in ms (LAN)",
                  "one backup killed mid-run and restarted through "
-                 "host::FaultInjector; checkpoint catch-up latency "
+                 "host::FaultPlan; checkpoint catch-up latency "
                  "(bft.recovery.catchup_ms, checkpoint interval 4)");
     print_row({"protocol", "f=1", "f=2", "f=3"});
   }

@@ -1,7 +1,7 @@
 // Failure drill: a guided tour of the fault-tolerance machinery — primary
 // crash and view change, a client that crashes mid-protocol and has its
 // tentative request cleaned, and a seeded chaos run driven through the
-// runtime-agnostic host::FaultInjector.
+// runtime-agnostic host::FaultPlan.
 //
 //   failure_drill                             # sim chaos run, default seed
 //   failure_drill --chaos-seed=9              # pick a different schedule
@@ -24,8 +24,8 @@
 namespace {
 
 // Classic drills: deterministic sim walkthrough of a primary crash and a
-// crashed CP1 client, driving the cuts through host::FaultInjector (the same
-// interface the threaded runtime implements).
+// crashed CP1 client, driving the cuts through host::FaultPlan (the same
+// plan the threaded runtime applies).
 int classic_drills() {
   using namespace scab;
   using host::kMillisecond;
@@ -42,7 +42,7 @@ int classic_drills() {
   causal::Cluster cluster(opts);
 
   std::printf("--- drill 1: primary crash ---\n");
-  host::FaultInjector& faults = cluster.faults();
+  host::FaultPlan& faults = cluster.faults();
   faults.crash(0);
   auto r = cluster.run_one(0, to_bytes("survives the primary"), 60 * kSecond);
   std::printf("request completed after view change: %s (view is now %lu)\n",

@@ -57,8 +57,8 @@ Cluster::Cluster(ClusterOptions options)
   if (options_.runtime == RuntimeKind::kSim) {
     host_ = std::make_unique<sim::SimHost>(*net_);
   } else {
-    // In-process loopback; fault-filter drop counters land in net_metrics_
-    // so "net.drops.*" reads the same on either runtime.
+    // In-process loopback; the fault plan's drop counters land in
+    // net_metrics_ so "net.drops.*" reads the same on either runtime.
     host_ = std::make_unique<rt::ThreadHost>(nullptr, &net_metrics_,
                                              options_.worker_threads);
   }
@@ -104,13 +104,7 @@ Cluster::Cluster(ClusterOptions options)
       } else {
         storage = std::make_unique<host::MemStorage>();
       }
-      if (options_.runtime == RuntimeKind::kSim) {
-        static_cast<sim::SimHost*>(host_.get())
-            ->attach_storage(i, std::move(storage));
-      } else {
-        static_cast<rt::ThreadHost*>(host_.get())
-            ->attach_storage(i, std::move(storage));
-      }
+      host_->attach_storage(i, std::move(storage));
     }
   }
 

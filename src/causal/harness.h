@@ -151,7 +151,7 @@ class Cluster {
 
   /// Runtime-agnostic fault injection (crash / link cut / delay / tamper)
   /// for whichever host carries this cluster (DESIGN.md §9).
-  host::FaultInjector& faults() { return *host_->fault_injector(); }
+  host::FaultPlan& faults() { return host_->faults(); }
 
   /// Tears replica i down for real (PBFT engine only): marks it crashed at
   /// the network, unbinds its endpoint (joining its worker thread under

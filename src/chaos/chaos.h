@@ -12,7 +12,7 @@
 //  * run_chaos assembles a causal::Cluster for the requested protocol and
 //    runtime (the SAME schedule drives either), runs a closed-loop client
 //    workload of high-entropy marker operations through the fault window
-//    via host::FaultInjector, and checks
+//    via host::FaultPlan, and checks
 //      - safety:   per-replica execution logs are pairwise prefix-consistent
 //                  (total order; a restarted replica that has not finished
 //                  catching up simply has a shorter prefix),

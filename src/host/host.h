@@ -25,13 +25,19 @@
 //   charge     cost accounting hook.  The simulator turns charges into
 //              virtual busy-time (the paper's modeled CPU costs); real-time
 //              hosts ignore them — real work is measured, not modeled.
+//   Faults     faults() — the host's one fault plan (host/fault.h),
+//              applied to every message the host carries.
 //   Storage    storage(node) — durable per-node blob store + append log
 //              (host/storage.h), or nullptr when the node runs without
-//              durability.  Owned by the host; survives unbind/rebind.
+//              durability.  One table in the Host base for every runtime;
+//              it survives unbind/rebind.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "common/bytes.h"
@@ -111,15 +117,31 @@ class Host : public Clock,
   /// (its event loop is caller-driven).
   virtual void stop() {}
 
-  /// The host's fault-injection surface (crash/cut/delay/tamper), or
-  /// nullptr for hosts without one.  Both in-tree hosts implement it.
-  virtual FaultInjector* fault_injector() { return nullptr; }
+  /// The fault plan (crash/cut/delay/tamper) applied to every message
+  /// this host carries.
+  virtual FaultPlan& faults() = 0;
 
+  /// Attaches (or replaces) durable storage for `id`.  The host OWNS it and
+  /// keeps it across unbind/rebind of the id — that survival is the crash
+  /// boundary an in-process restart recovers over.  Pure data handoff: no
+  /// events, no RNG, so seeded sim runs stay bit-identical whether or not
+  /// storage is attached (see determinism_test).
+  void attach_storage(NodeId id, std::unique_ptr<Storage> storage) {
+    std::lock_guard<std::mutex> lk(storage_mu_);
+    storage_[id] = std::move(storage);
+  }
   /// Durable storage attached to `node`, or nullptr when the node runs
-  /// without durability.  The host OWNS the storage and keeps it across
-  /// unbind/rebind of the id — that survival is the crash boundary an
-  /// in-process restart recovers over.  Default: no storage.
-  virtual Storage* storage(NodeId node) { return (void)node, nullptr; }
+  /// without durability.  The pointed-to Storage is used only from the
+  /// owning node's executor; the mutex guards the table alone.
+  Storage* storage(NodeId node) {
+    std::lock_guard<std::mutex> lk(storage_mu_);
+    auto it = storage_.find(node);
+    return it == storage_.end() ? nullptr : it->second.get();
+  }
+
+ private:
+  std::mutex storage_mu_;
+  std::unordered_map<NodeId, std::unique_ptr<Storage>> storage_;
 };
 
 /// Mixin deduplicating the per-node host plumbing that every protocol class

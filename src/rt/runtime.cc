@@ -63,88 +63,6 @@ void ThreadHost::Worker::stop_and_join() {
 }
 
 // ---------------------------------------------------------------------------
-// Faults
-
-void ThreadHost::Faults::crash(host::NodeId node) {
-  std::lock_guard<std::mutex> lk(mu_);
-  crashed_.insert(node);
-}
-
-void ThreadHost::Faults::restart(host::NodeId node) {
-  std::lock_guard<std::mutex> lk(mu_);
-  crashed_.erase(node);
-}
-
-bool ThreadHost::Faults::is_crashed(host::NodeId node) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return crashed_.contains(node);
-}
-
-void ThreadHost::Faults::cut(host::NodeId from, host::NodeId to) {
-  std::lock_guard<std::mutex> lk(mu_);
-  cut_.insert(key(from, to));
-}
-
-void ThreadHost::Faults::heal(host::NodeId from, host::NodeId to) {
-  std::lock_guard<std::mutex> lk(mu_);
-  cut_.erase(key(from, to));
-}
-
-void ThreadHost::Faults::heal_all() {
-  std::lock_guard<std::mutex> lk(mu_);
-  cut_.clear();
-  delays_.clear();
-}
-
-void ThreadHost::Faults::delay(host::NodeId from, host::NodeId to,
-                               host::Time extra) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (extra == 0) {
-    delays_.erase(key(from, to));
-  } else {
-    delays_[key(from, to)] = extra;
-  }
-}
-
-void ThreadHost::Faults::clear_delays() {
-  std::lock_guard<std::mutex> lk(mu_);
-  delays_.clear();
-}
-
-void ThreadHost::Faults::set_tamper(Tamper t) {
-  std::lock_guard<std::mutex> lk(mu_);
-  tamper_ = std::move(t);
-}
-
-void ThreadHost::Faults::clear_tamper() {
-  std::lock_guard<std::mutex> lk(mu_);
-  tamper_ = nullptr;
-}
-
-ThreadHost::Faults::Verdict ThreadHost::Faults::filter(host::NodeId from,
-                                                       host::NodeId to,
-                                                       Bytes* msg,
-                                                       host::Time* extra) const {
-  *extra = 0;
-  Tamper tamper_copy;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (crashed_.contains(from) || crashed_.contains(to)) return Verdict::kDropCrash;
-    if (cut_.contains(key(from, to))) return Verdict::kDropCut;
-    if (auto it = delays_.find(key(from, to)); it != delays_.end()) {
-      *extra = it->second;
-    }
-    tamper_copy = tamper_;
-  }
-  if (tamper_copy) {
-    auto out = tamper_copy(from, to, *msg);
-    if (!out) return Verdict::kDropTamper;
-    *msg = std::move(*out);
-  }
-  return Verdict::kDeliver;
-}
-
-// ---------------------------------------------------------------------------
 // ThreadHost
 
 ThreadHost::ThreadHost(std::unique_ptr<rt::Transport> transport,
@@ -152,10 +70,7 @@ ThreadHost::ThreadHost(std::unique_ptr<rt::Transport> transport,
     : epoch_(SteadyClock::now()),
       transport_(transport ? std::move(transport)
                            : std::make_unique<ChannelTransport>()),
-      metrics_(metrics ? *metrics : obs::MetricsRegistry::inert()) {
-  m_.drops_crash = &metrics_.counter("net.drops.crash");
-  m_.drops_cut = &metrics_.counter("net.drops.cut");
-  m_.drops_tamper = &metrics_.counter("net.drops.tamper");
+      faults_(metrics) {
   pool_workers_.reserve(pool_threads);
   for (std::size_t i = 0; i < pool_threads; ++i) {
     pool_workers_.emplace_back([this] { pool_loop(); });
@@ -211,18 +126,6 @@ void ThreadHost::unbind(host::NodeId id) {
     workers_.erase(it);
   }
   w->stop_and_join();
-}
-
-void ThreadHost::attach_storage(host::NodeId id,
-                                std::unique_ptr<host::Storage> storage) {
-  std::lock_guard<std::mutex> lk(mu_);
-  storage_[id] = std::move(storage);
-}
-
-host::Storage* ThreadHost::storage(host::NodeId node) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = storage_.find(node);
-  return it == storage_.end() ? nullptr : it->second.get();
 }
 
 std::shared_ptr<ThreadHost::Worker> ThreadHost::worker(host::NodeId id) const {
@@ -308,29 +211,17 @@ void ThreadHost::pool_loop() {
 void ThreadHost::deliver(host::NodeId from, host::NodeId to, Bytes msg) {
   // The one chokepoint every inbound message funnels through, regardless of
   // transport (channel, socket loopback, socket peer) — so the fault filter
-  // here gives the same coverage FaultPlan gives the simulator.
-  host::Time extra = 0;
-  switch (faults_.filter(from, to, &msg, &extra)) {
-    case Faults::Verdict::kDropCrash:
-      m_.drops_crash->inc();
-      return;
-    case Faults::Verdict::kDropCut:
-      m_.drops_cut->inc();
-      return;
-    case Faults::Verdict::kDropTamper:
-      m_.drops_tamper->inc();
-      return;
-    case Faults::Verdict::kDeliver:
-      break;
-  }
+  // here covers every message the way sim::Network's send-time check does.
+  const host::FaultPlan::Verdict verdict = faults_.apply(from, to, msg);
+  if (!verdict.deliver()) return;
   auto w = worker(to);
   if (!w) return;  // unknown destination: drop (mirrors the sim's Network)
   host::Node* ep = w->endpoint;
   auto task = [ep, from, m = std::move(msg)] { ep->on_message(from, m); };
-  if (extra > 0) {
+  if (verdict.extra > 0) {
     // Delayed link: defer onto the receiver's own timer queue so ordering
     // against undelayed traffic matches the sim (late messages arrive late).
-    w->push_timer(SteadyClock::now() + std::chrono::nanoseconds(extra),
+    w->push_timer(SteadyClock::now() + std::chrono::nanoseconds(verdict.extra),
                   std::move(task));
   } else {
     w->push_task(std::move(task));

@@ -20,9 +20,9 @@
 //   charge     NO-OP: real time is measured, not modeled (DESIGN.md §8)
 //   stop       joins every worker; pending timers and tasks are dropped
 //
-// Fault injection (DESIGN.md §9): the host::FaultInjector surface is a
-// filter at the single delivery chokepoint in front of the mailboxes —
-// crashed nodes and cut links drop (attributed to the same
+// Fault injection (DESIGN.md §9): the host's host::FaultPlan is applied at
+// the single delivery chokepoint in front of the mailboxes — crashed nodes
+// and cut links drop (counted by the plan into the same
 // "net.drops.{crash,cut,tamper}" counters the simulator uses), delayed
 // links defer delivery onto the receiver's own timer queue, and the tamper
 // hook may rewrite or drop payloads.  Live unbind/rebind is supported: a
@@ -39,10 +39,8 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "host/host.h"
-#include "obs/metrics.h"
 #include "rt/transport.h"
 
 namespace scab::rt {
@@ -50,7 +48,7 @@ namespace scab::rt {
 class ThreadHost final : public host::Host {
  public:
   /// `transport` defaults to an in-process ChannelTransport.  `metrics`
-  /// (optional) receives the fault filter's "net.drops.*" counters.
+  /// (optional) receives the fault plan's "net.drops.*" counters.
   /// `pool_threads` sizes the shared crypto worker pool (0 = run submit()
   /// jobs inline on the caller).
   explicit ThreadHost(std::unique_ptr<rt::Transport> transport = nullptr,
@@ -74,15 +72,7 @@ class ThreadHost final : public host::Host {
   }
   void stop() override;
 
-  host::FaultInjector* fault_injector() override { return &faults_; }
-
-  /// Attaches (or replaces) durable storage for `id`.  Host-owned and kept
-  /// across unbind/rebind — a restarted endpoint under the same id recovers
-  /// from what its predecessor persisted.  Storage implementations are
-  /// internally synchronized only to the extent the host contract needs:
-  /// a node touches its own storage exclusively from its own executor.
-  void attach_storage(host::NodeId id, std::unique_ptr<host::Storage> storage);
-  host::Storage* storage(host::NodeId node) override;
+  host::FaultPlan& faults() override { return faults_; }
 
   rt::Transport& transport() { return *transport_; }
 
@@ -108,45 +98,13 @@ class ThreadHost final : public host::Host {
     void stop_and_join();
   };
 
-  /// Mutex-guarded fault state, consulted by deliver() on every message.
-  class Faults final : public host::FaultInjector {
-   public:
-    void crash(host::NodeId node) override;
-    void restart(host::NodeId node) override;
-    bool is_crashed(host::NodeId node) const override;
-    void cut(host::NodeId from, host::NodeId to) override;
-    void heal(host::NodeId from, host::NodeId to) override;
-    void heal_all() override;
-    void delay(host::NodeId from, host::NodeId to, host::Time extra) override;
-    void clear_delays() override;
-    void set_tamper(Tamper t) override;
-    void clear_tamper() override;
-
-    enum class Verdict : uint8_t { kDeliver, kDropCrash, kDropCut, kDropTamper };
-    /// Applies the current plan to one message; may rewrite `msg` (tamper)
-    /// and sets `extra` to the link's added delay.  The tamper hook runs
-    /// outside the lock (it may be slow or reentrant).
-    Verdict filter(host::NodeId from, host::NodeId to, Bytes* msg,
-                   host::Time* extra) const;
-
-   private:
-    static uint64_t key(host::NodeId a, host::NodeId b) {
-      return (static_cast<uint64_t>(a) << 32) | b;
-    }
-    mutable std::mutex mu_;
-    std::unordered_set<host::NodeId> crashed_;
-    std::unordered_set<uint64_t> cut_;
-    std::unordered_map<uint64_t, host::Time> delays_;
-    Tamper tamper_;
-  };
-
   std::shared_ptr<Worker> worker(host::NodeId id) const;
   void deliver(host::NodeId from, host::NodeId to, Bytes msg);
   void pool_loop();
 
   const SteadyClock::time_point epoch_;
   std::unique_ptr<rt::Transport> transport_;
-  Faults faults_;
+  host::FaultPlan faults_;
   // shared_ptr: deliver()/post()/schedule() hold a reference across the
   // enqueue, so a concurrent live unbind (node restart) cannot free the
   // worker out from under them; push_* on a stopping worker is a no-op.
@@ -157,11 +115,6 @@ class ThreadHost final : public host::Host {
   // pool completion for an earlier incarnation of the id is stale and must
   // be dropped, exactly like a message to a crashed node.
   std::unordered_map<host::NodeId, uint64_t> generations_;
-  // Owned durable storage per node (under mu_ for the map itself; the
-  // pointed-to Storage is used only from the owning node's executor).
-  // Deliberately NOT cleared on unbind: survival across rebind is the
-  // in-process crash boundary.
-  std::unordered_map<host::NodeId, std::unique_ptr<host::Storage>> storage_;
 
   /// A queued pool job with the owner snapshot taken at submit time.
   struct PoolTask {
@@ -174,13 +127,6 @@ class ThreadHost final : public host::Host {
   std::deque<PoolTask> pool_tasks_;
   bool pool_stopping_ = false;
   std::vector<std::thread> pool_workers_;
-
-  obs::MetricsRegistry& metrics_;
-  struct {
-    obs::Counter* drops_crash;
-    obs::Counter* drops_cut;
-    obs::Counter* drops_tamper;
-  } m_;
 };
 
 }  // namespace scab::rt

@@ -30,37 +30,16 @@ NetworkProfile NetworkProfile::ideal() {
   return p;
 }
 
-std::optional<Bytes> FaultPlan::apply(NodeId from, NodeId to, BytesView msg,
-                                      DropReason* reason) const {
-  if (reason) *reason = DropReason::kNone;
-  if (crashed_.contains(from) || crashed_.contains(to)) {
-    if (reason) *reason = DropReason::kCrash;
-    return std::nullopt;
-  }
-  if (cut_.contains(key(from, to))) {
-    if (reason) *reason = DropReason::kCut;
-    return std::nullopt;
-  }
-  if (tamper_) {
-    auto out = tamper_(from, to, msg);
-    if (!out && reason) *reason = DropReason::kTamper;
-    return out;
-  }
-  return Bytes(msg.begin(), msg.end());
-}
-
 Network::Network(Simulator& sim, NetworkProfile profile, uint64_t jitter_seed,
                  obs::MetricsRegistry* metrics)
     : sim_(sim),
       profile_(profile),
+      faults_(metrics),
       jitter_state_((jitter_seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL) | 1),
       metrics_(metrics ? *metrics : obs::MetricsRegistry::inert()) {
   m_.sent = &metrics_.counter("net.messages_sent");
   m_.bytes = &metrics_.counter("net.bytes_sent");
   m_.delivered = &metrics_.counter("net.messages_delivered");
-  m_.drops_crash = &metrics_.counter("net.drops.crash");
-  m_.drops_cut = &metrics_.counter("net.drops.cut");
-  m_.drops_tamper = &metrics_.counter("net.drops.tamper");
   m_.egress_wait_ns = &metrics_.histogram("net.egress.wait_ns");
 }
 
@@ -80,32 +59,18 @@ void Network::attach(Node* node) { nodes_[node->id()] = node; }
 void Network::detach(NodeId id) { nodes_.erase(id); }
 
 void Network::send(NodeId from, NodeId to, Bytes msg) {
+  // The sent size, not a tamper hook's rewrite, is what the NIC carries.
+  const std::size_t size = msg.size();
   ++messages_sent_;
-  bytes_sent_ += msg.size();
+  bytes_sent_ += size;
   m_.sent->inc();
-  m_.bytes->inc(msg.size());
-  egress_bytes_counter(from).inc(msg.size());
+  m_.bytes->inc(size);
+  egress_bytes_counter(from).inc(size);
 
   if (!nodes_.contains(to)) return;
 
-  DropReason reason = DropReason::kNone;
-  auto shaped = faults_.apply(from, to, msg, &reason);
-  if (!shaped) {
-    switch (reason) {
-      case DropReason::kCrash:
-        m_.drops_crash->inc();
-        break;
-      case DropReason::kCut:
-        m_.drops_cut->inc();
-        break;
-      case DropReason::kTamper:
-        m_.drops_tamper->inc();
-        break;
-      case DropReason::kNone:
-        break;
-    }
-    return;
-  }
+  const host::FaultPlan::Verdict verdict = faults_.apply(from, to, msg);
+  if (!verdict.deliver()) return;
 
   // Departure: after the sender finishes the CPU work charged so far.
   SimTime depart = sim_.now();
@@ -118,7 +83,7 @@ void Network::send(NodeId from, NodeId to, Bytes msg) {
   // is what caps a primary that must send n-1 copies of each batch.
   SimTime tx = 0;
   if (profile_.link.bandwidth_bps > 0) {
-    tx = static_cast<SimTime>(msg.size()) * kSecond / profile_.link.bandwidth_bps;
+    tx = static_cast<SimTime>(size) * kSecond / profile_.link.bandwidth_bps;
   }
   SimTime& free_at = egress_free_at_[from];
   const SimTime start_tx = std::max(depart, free_at);
@@ -135,8 +100,8 @@ void Network::send(NodeId from, NodeId to, Bytes msg) {
   }
 
   const SimTime arrival =
-      free_at + profile_.link.latency + jitter + faults_.extra_delay(from, to);
-  deliver(from, to, std::move(*shaped), arrival);
+      free_at + profile_.link.latency + jitter + verdict.extra;
+  deliver(from, to, std::move(msg), arrival);
 }
 
 void Network::broadcast(NodeId from, const Bytes& msg,
@@ -158,10 +123,7 @@ void Network::deliver(NodeId from, NodeId to, Bytes msg, SimTime arrival) {
     auto it = nodes_.find(to);
     if (it == nodes_.end()) return;  // detached/restarted while in flight
     Node* dst = it->second;
-    if (faults_.is_crashed(to)) {  // crashed while in flight
-      m_.drops_crash->inc();
-      return;
-    }
+    if (faults_.drop_if_crashed(to)) return;  // crashed while in flight
     // The receiver is a sequential processor: if it is still busy with
     // earlier work, requeue this delivery for when it frees up.  busy_until
     // only ever advances, so this converges.

@@ -10,17 +10,17 @@
 //  * Every node is a sequential processor: a handler starts at
 //    max(arrival, busy_until) and charges CPU cost through charge(); sends
 //    issued inside a handler depart when the charged work completes.
-//  * Faults are injected at the network boundary: crashed nodes, dropped
-//    links, and an arbitrary filter/tamper hook used by the Byzantine
-//    tests ("corrupt the decryption share of replica 2").
+//  * Faults are injected at the network boundary through the host's one
+//    fault plan (host/fault.h): crashed nodes, dropped or delayed links,
+//    and an arbitrary filter/tamper hook used by the Byzantine tests
+//    ("corrupt the decryption share of replica 2").
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/bytes.h"
+#include "host/fault.h"
 #include "obs/metrics.h"
 #include "sim/cost_model.h"
 #include "sim/simulator.h"
@@ -86,75 +86,10 @@ struct NetworkProfile {
   static NetworkProfile ideal();
 };
 
-/// Why FaultPlan::apply dropped a message — attributed to metrics so tests
-/// can assert "the partition dropped exactly these, nothing else did".
-enum class DropReason : uint8_t {
-  kNone = 0,   // delivered (possibly tampered in place)
-  kCrash,      // sender or receiver crashed
-  kCut,        // directed link cut
-  kTamper,     // tamper hook returned nullopt
-};
-
-/// Declarative fault injection, applied on send.
-class FaultPlan {
- public:
-  /// Drops everything to and from `node` from this virtual time on.
-  void crash(NodeId node) { crashed_.insert(node); }
-  bool is_crashed(NodeId node) const { return crashed_.contains(node); }
-  void recover(NodeId node) { crashed_.erase(node); }
-
-  /// Drops messages on the directed link a -> b.
-  void cut(NodeId from, NodeId to) { cut_.insert(key(from, to)); }
-  void heal(NodeId from, NodeId to) { cut_.erase(key(from, to)); }
-  /// Clears every cut and every per-link delay (crash flags stay).
-  void heal_all() {
-    cut_.clear();
-    delays_.clear();
-  }
-
-  /// Adds `extra` ns of one-way delay on the directed link a -> b; 0
-  /// removes the entry.  Applied by Network::send on top of the profile's
-  /// latency, so delayed messages still obey per-link FIFO-ish shaping.
-  void delay(NodeId from, NodeId to, SimTime extra) {
-    if (extra == 0) {
-      delays_.erase(key(from, to));
-    } else {
-      delays_[key(from, to)] = extra;
-    }
-  }
-  void clear_delays() { delays_.clear(); }
-  SimTime extra_delay(NodeId from, NodeId to) const {
-    auto it = delays_.find(key(from, to));
-    return it == delays_.end() ? 0 : it->second;
-  }
-
-  /// Arbitrary inspect/tamper hook: return std::nullopt to drop the
-  /// message, or a (possibly modified) payload to deliver.  Runs after the
-  /// crash/cut checks.
-  using Tamper =
-      std::function<std::optional<Bytes>(NodeId from, NodeId to, BytesView msg)>;
-  void set_tamper(Tamper t) { tamper_ = std::move(t); }
-  void clear_tamper() { tamper_ = nullptr; }
-
-  /// Applies the plan; nullopt means "drop".  When `reason` is non-null it
-  /// receives what dropped the message (kNone on delivery).
-  std::optional<Bytes> apply(NodeId from, NodeId to, BytesView msg,
-                             DropReason* reason = nullptr) const;
-
- private:
-  static uint64_t key(NodeId a, NodeId b) {
-    return (static_cast<uint64_t>(a) << 32) | b;
-  }
-  std::unordered_set<NodeId> crashed_;
-  std::unordered_set<uint64_t> cut_;
-  std::unordered_map<uint64_t, SimTime> delays_;
-  Tamper tamper_;
-};
-
 class Network {
  public:
-  /// `metrics` (optional) receives "net.*" counters and the egress-wait
-  /// histogram; pass the cluster-wide registry to see drop attribution.
+  /// `metrics` (optional) receives "net.*" counters, the fault plan's drop
+  /// attribution and the egress-wait histogram.
   Network(Simulator& sim, NetworkProfile profile, uint64_t jitter_seed = 0,
           obs::MetricsRegistry* metrics = nullptr);
 
@@ -171,8 +106,9 @@ class Network {
   void broadcast(NodeId from, const Bytes& msg,
                  const std::function<bool(NodeId)>& to_filter = nullptr);
 
-  FaultPlan& faults() { return faults_; }
-  const FaultPlan& faults() const { return faults_; }
+  /// Applied on send; a node that crashes while a message to it is in
+  /// flight also loses that message at delivery.
+  host::FaultPlan& faults() { return faults_; }
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
@@ -189,7 +125,7 @@ class Network {
 
   Simulator& sim_;
   NetworkProfile profile_;
-  FaultPlan faults_;
+  host::FaultPlan faults_;
   std::unordered_map<NodeId, Node*> nodes_;
   std::unordered_map<NodeId, SimTime> egress_free_at_;
   uint64_t jitter_state_;
@@ -202,9 +138,6 @@ class Network {
     obs::Counter* sent;
     obs::Counter* bytes;
     obs::Counter* delivered;
-    obs::Counter* drops_crash;
-    obs::Counter* drops_cut;
-    obs::Counter* drops_tamper;
     obs::Histogram* egress_wait_ns;  // start_tx - depart: NIC queueing delay
   } m_;
   // Per-sender egress byte counters ("net.egress.bytes.<id>"), resolved

@@ -25,9 +25,8 @@
 // running against freed state.  The guard adds no events and no RNG draws:
 // event times, counts and ordering are untouched.
 //
-// fault_injector() delegates to the Network's FaultPlan — the runtime-
-// agnostic host::FaultInjector surface is bit-identical to driving
-// net().faults() directly.
+// faults() is the Network's fault plan, so the host surface and
+// net().faults() are one object.
 #pragma once
 
 #include <memory>
@@ -40,7 +39,7 @@ namespace scab::sim {
 
 class SimHost final : public host::Host {
  public:
-  explicit SimHost(Network& net) : net_(net), faults_(net) {}
+  explicit SimHost(Network& net) : net_(net) {}
 
   host::Time now() const override { return net_.sim().now(); }
 
@@ -68,21 +67,7 @@ class SimHost final : public host::Host {
   void unbind(host::NodeId id) override;
   void charge(host::NodeId node, host::Time cost) override;
 
-  host::FaultInjector* fault_injector() override { return &faults_; }
-
-  /// Attaches (or replaces) durable storage for `id`.  The host owns it;
-  /// it survives unbind/rebind, so a torn-down endpoint's replacement
-  /// recovers from exactly what its predecessor persisted.  Pure data
-  /// handoff: no events, no RNG — seeded runs stay bit-identical whether
-  /// or not storage is attached (see determinism_test).
-  void attach_storage(host::NodeId id,
-                      std::unique_ptr<host::Storage> storage) {
-    storage_[id] = std::move(storage);
-  }
-  host::Storage* storage(host::NodeId node) override {
-    auto it = storage_.find(node);
-    return it == storage_.end() ? nullptr : it->second.get();
-  }
+  host::FaultPlan& faults() override { return net_.faults(); }
 
   Network& net() { return net_; }
 
@@ -101,43 +86,13 @@ class SimHost final : public host::Host {
     host::Node* endpoint_;
   };
 
-  /// host::FaultInjector as a thin veneer over the Network's FaultPlan.
-  class Faults final : public host::FaultInjector {
-   public:
-    explicit Faults(Network& net) : net_(net) {}
-    void crash(host::NodeId node) override { net_.faults().crash(node); }
-    void restart(host::NodeId node) override { net_.faults().recover(node); }
-    bool is_crashed(host::NodeId node) const override {
-      return net_.faults().is_crashed(node);
-    }
-    void cut(host::NodeId from, host::NodeId to) override {
-      net_.faults().cut(from, to);
-    }
-    void heal(host::NodeId from, host::NodeId to) override {
-      net_.faults().heal(from, to);
-    }
-    void heal_all() override { net_.faults().heal_all(); }
-    void delay(host::NodeId from, host::NodeId to, host::Time extra) override {
-      net_.faults().delay(from, to, extra);
-    }
-    void clear_delays() override { net_.faults().clear_delays(); }
-    void set_tamper(Tamper t) override { net_.faults().set_tamper(std::move(t)); }
-    void clear_tamper() override { net_.faults().clear_tamper(); }
-
-   private:
-    Network& net_;
-  };
-
   uint64_t epoch_of(host::NodeId node) const {
     auto it = bind_epochs_.find(node);
     return it == bind_epochs_.end() ? 0 : it->second;
   }
 
   Network& net_;
-  Faults faults_;
   std::unordered_map<host::NodeId, std::unique_ptr<Adapter>> adapters_;
-  // Owned durable storage per node; deliberately NOT cleared on unbind.
-  std::unordered_map<host::NodeId, std::unique_ptr<host::Storage>> storage_;
   // Bumped on every bind AND unbind, so timers from any earlier lifetime of
   // the id can never fire into a newer (or absent) endpoint.
   std::unordered_map<host::NodeId, uint64_t> bind_epochs_;

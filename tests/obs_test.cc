@@ -196,7 +196,7 @@ TEST(ObsIntegration, NetworkDropAttribution) {
   EXPECT_GT(net_m.counter_value("net.drops.crash"), 0u);
   EXPECT_EQ(net_m.counter_value("net.drops.cut"), 0u);
   EXPECT_EQ(net_m.counter_value("net.drops.tamper"), 0u);
-  cluster.net().faults().recover(3);
+  cluster.net().faults().restart(3);
 
   // Cut one direction of one link: attributed to kCut only.
   const uint64_t crash_before = net_m.counter_value("net.drops.crash");

@@ -145,7 +145,7 @@ TEST(Pbft, RepeatedPrimaryFailuresAdvanceViews) {
   // So instead: recover 1 after the first view change.
   const auto unreachable = cluster.run_one(0, to_bytes("x"), 3 * kSecond);
   EXPECT_FALSE(unreachable.has_value());
-  cluster.net().faults().recover(1);
+  cluster.net().faults().restart(1);
   const auto result = cluster.run_one(0, to_bytes("y"), 60 * kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_GE(cluster.replica(2).view(), 1u);

@@ -148,7 +148,7 @@ TEST_F(NetworkTest, CrashedNodeNeitherSendsNorReceives) {
   EXPECT_TRUE(nodes_[1]->received.empty());
   EXPECT_TRUE(nodes_[2]->received.empty());
 
-  net_.faults().recover(1);
+  net_.faults().restart(1);
   net_.send(0, 1, to_bytes("back"));
   sim_.run();
   EXPECT_EQ(nodes_[1]->received.size(), 1u);
