@@ -1,11 +1,19 @@
 // Deployment parameters for the PBFT substrate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "host/time.h"
 
 namespace scab::bft {
+
+/// PBFT's watermark window: a primary proposes at most this many sequence
+/// numbers past the last stable checkpoint, so the checkpoint interval must
+/// not exceed it (parse_cluster_config enforces that).
+inline constexpr uint64_t kWatermarkWindow = 256;
+/// Executed batches each replica retains for catch-up fetches.
+inline constexpr std::size_t kHistoryLimit = 2048;
 
 struct BftConfig {
   uint32_t n = 4;  // total replicas, n = 3f + 1
@@ -21,9 +29,8 @@ struct BftConfig {
   /// this is what makes batching effective under load.
   uint32_t max_inflight_batches = 4;
 
-  // Checkpoint protocol.
+  // Checkpoint protocol: 1..kWatermarkWindow.
   uint64_t checkpoint_interval = 64;
-  uint64_t watermark_window = 256;
 
   // View change: a backup that has seen a client request not executed
   // within this delay votes for a view change (also serves as the fairness
@@ -32,9 +39,6 @@ struct BftConfig {
   host::Time request_timeout = 2 * host::kSecond;
   /// How often the watchdog scans pending requests.
   host::Time watchdog_period = 500 * host::kMillisecond;
-
-  // How many executed batches each replica retains for catch-up fetches.
-  std::size_t history_limit = 2048;
 
   uint32_t quorum() const { return 2 * f + 1; }
   uint32_t primary_of(uint64_t view) const {

@@ -404,7 +404,7 @@ void Replica::on_message(NodeId /*from*/, BytesView msg) {
           Reader r(body);
           const uint64_t from_seq = r.u64();
           const uint64_t to_seq = r.u64();
-          if (!r.done() || to_seq - from_seq > config_.watermark_window) return;
+          if (!r.done() || to_seq - from_seq > kWatermarkWindow) return;
           for (uint64_t s = from_seq; s <= to_seq; ++s) {
             auto it = history_.find(s);
             if (it == history_.end()) continue;
@@ -420,7 +420,7 @@ void Replica::on_message(NodeId /*from*/, BytesView msg) {
           const uint64_t s = r.u64();
           const Bytes wire = r.bytes();
           if (!r.done()) return;
-          if (s < next_exec_ || s > next_exec_ + config_.watermark_window) {
+          if (s < next_exec_ || s > next_exec_ + kWatermarkWindow) {
             return;
           }
           if (!PrePrepare::parse(wire)) return;
@@ -567,6 +567,7 @@ void Replica::flush_batch() {
     broadcast_bft(BftMsgType::kPrePrepare, wire);
     accept_pre_prepare(std::move(pp));
   }
+  app_->on_new_view(view_, *this);
 }
 
 void Replica::handle_pre_prepare(NodeId from, BytesView body) {
@@ -758,7 +759,7 @@ void Replica::execute_batch(uint64_t seq, const PrePrepare& pp) {
   exec_chain_digest_ =
       crypto::sha256_tuple({exec_chain_digest_, pp.batch_digest()});
   history_[seq] = pp.serialize();
-  if (history_.size() > config_.history_limit) history_.erase(history_.begin());
+  if (history_.size() > kHistoryLimit) history_.erase(history_.begin());
 
   if (seq % config_.checkpoint_interval == 0) {
     Checkpoint cp;
@@ -822,7 +823,7 @@ void Replica::handle_checkpoint(NodeId from, BytesView body) {
   // need a stable checkpoint — 2f+1 votes — beyond that, which includes a
   // correct replica we would have heard from).  Seqs further out are a
   // Byzantine flood; accepting them would grow the map without limit.
-  if (cp->seq > low_watermark_ + 2 * config_.watermark_window) return;
+  if (cp->seq > low_watermark_ + 2 * kWatermarkWindow) return;
   checkpoint_votes_[cp->seq][from] = cp->state_digest;
   update_state_gauges();
   maybe_stabilize(cp->seq);

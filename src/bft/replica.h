@@ -152,7 +152,7 @@ class Replica final : public host::HostBound<ReplicaContext> {
 
   Slot& slot(uint64_t seq) { return slots_[seq]; }
   bool in_watermarks(uint64_t seq) const {
-    return seq > low_watermark_ && seq <= low_watermark_ + config_.watermark_window;
+    return seq > low_watermark_ && seq <= low_watermark_ + kWatermarkWindow;
   }
 
   BftConfig config_;

@@ -36,6 +36,12 @@ const char* protocol_name(Protocol p) {
 }
 
 namespace {
+// Request-tracer capacity (distinct requests tracked): covers every bench
+// and test workload.
+constexpr std::size_t kTraceCapacity = 1 << 16;
+// Async engine: bits of the generated common-coin group when none is given.
+constexpr std::size_t kCoinGroupBits = 64;
+
 // The shared derivation encoding (causal/stack.h): keeps this file's forks
 // bit-identical to the daemon's.
 Bytes seed_bytes(uint64_t seed, std::string_view label) {
@@ -45,7 +51,7 @@ Bytes seed_bytes(uint64_t seed, std::string_view label) {
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
-      tracer_(options_.trace_capacity),
+      tracer_(kTraceCapacity),
       master_rng_(seed_bytes(options_.seed, "cluster-master")) {
   const auto& cfg = options_.bft;
   if (!options_.service_factory) {
@@ -82,7 +88,7 @@ Cluster::Cluster(ClusterOptions options)
     if (!options_.coin_group) {
       crypto::Drbg grng = master_rng_.fork(to_bytes("coin-group"));
       options_.coin_group =
-          crypto::ModGroup::generate(options_.coin_group_bits, grng);
+          crypto::ModGroup::generate(kCoinGroupBits, grng);
     }
     crypto::Drbg crng = master_rng_.fork(to_bytes("coin"));
     coin_ = std::make_unique<abft::CoinKeyMaterial>(
@@ -98,9 +104,8 @@ Cluster::Cluster(ClusterOptions options)
       std::unique_ptr<host::Storage> storage;
       if (options_.durability == ClusterOptions::Durability::kFile &&
           options_.runtime == RuntimeKind::kThreads) {
-        storage = std::make_unique<rt::FileStorage>(
-            options_.data_dir + "/node" + std::to_string(i),
-            rt::FileStorage::Options{options_.storage_fsync});
+        storage = std::make_unique<rt::FileStorage>(options_.data_dir +
+                                                    "/node" + std::to_string(i));
       } else {
         storage = std::make_unique<host::MemStorage>();
       }

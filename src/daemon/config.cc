@@ -197,9 +197,13 @@ std::optional<ClusterConfig> parse_cluster_config(std::string_view text,
         return std::nullopt;
       }
     } else if (key == "checkpoint_interval") {
+      // Above the watermark window the primary can never propose past it
+      // and the cluster wedges.
       uint64_t v = 0;
-      if (!parse_u64(value, &v) || v == 0) {
-        *err = at_line(lineno, "invalid checkpoint_interval '" + value + "'");
+      if (!parse_u64(value, &v) || v == 0 || v > bft::kWatermarkWindow) {
+        *err = at_line(lineno, "invalid checkpoint_interval '" + value +
+                                   "' (want 1.." +
+                                   std::to_string(bft::kWatermarkWindow) + ")");
         return std::nullopt;
       }
       cfg.bft.checkpoint_interval = v;

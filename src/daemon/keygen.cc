@@ -112,7 +112,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_dir = val;
     } else if (arg == "--checkpoint-interval") {
-      if (!parse_u64_arg(val, &u) || u < 1) {
+      // Range-checked (1..bft::kWatermarkWindow) by the round-trip parse.
+      if (!parse_u64_arg(val, &u)) {
         std::fprintf(stderr,
                      "scab-keygen: invalid --checkpoint-interval '%s'\n",
                      val);

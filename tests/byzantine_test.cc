@@ -319,7 +319,7 @@ TEST(Byzantine, Cp0EarlyShareStashStillServesCorrectPeers) {
 // A Byzantine replica floods CHECKPOINT votes with distinct far-future
 // sequence numbers.  Regression for the unbounded checkpoint_votes_ map:
 // every vote used to create an entry keyed by the attacker-chosen seq.  Now
-// seqs beyond low_watermark + 2 * watermark_window are rejected, and the
+// seqs beyond low_watermark + 2 * kWatermarkWindow are rejected, and the
 // bft.checkpoint_votes_tracked gauge's high-water mark proves the map never
 // grew.
 TEST(Byzantine, CheckpointFloodCannotGrowVoteMap) {

@@ -74,6 +74,15 @@ std::string replace(std::string body, const std::string& from,
   return body.replace(pos, from.size(), to);
 }
 
+TEST(ClusterConfigParse, AcceptsCheckpointIntervalOfOneWatermarkWindow) {
+  std::string err;
+  const auto cfg = parse_cluster_config(
+      replace(kGoodConfig, "checkpoint_interval = 8", "checkpoint_interval = 256"),
+      &err);
+  ASSERT_TRUE(cfg) << err;
+  EXPECT_EQ(cfg->bft.checkpoint_interval, bft::kWatermarkWindow);
+}
+
 TEST(ClusterConfigParse, RejectsBrokenConfigs) {
   const std::string good = kGoodConfig;
   const Negative cases[] = {
@@ -133,6 +142,14 @@ TEST(ClusterConfigParse, RejectsBrokenConfigs) {
        "invalid client_inflight"},
       {"io_threads zero", good + "io_threads = 0\n", "invalid io_threads"},
       {"threads above its cap", good + "threads = 257\n", "invalid threads"},
+      // Past the PBFT watermark window the primary stalls at seq 256 and
+      // the cluster wedges in view changes.
+      {"checkpoint_interval above the watermark window",
+       replace(good, "checkpoint_interval = 8", "checkpoint_interval = 257"),
+       "invalid checkpoint_interval '257' (want 1..256)"},
+      {"checkpoint_interval zero",
+       replace(good, "checkpoint_interval = 8", "checkpoint_interval = 0"),
+       "invalid checkpoint_interval"},
   };
   for (const auto& c : cases) {
     std::string err;
