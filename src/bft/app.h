@@ -121,12 +121,6 @@ class ReplicaApp {
     return true;
   }
 
-  /// The replica moved to a new view.
-  virtual void on_new_view(uint64_t view, ReplicaContext& ctx) {
-    (void)view;
-    (void)ctx;
-  }
-
   // --- durability (DESIGN.md §13) ---
   // The replica snapshots itself at every stable checkpoint; the app's
   // contribution rides along as an opaque blob.  serialize_state must be a

@@ -567,7 +567,6 @@ void Replica::flush_batch() {
     broadcast_bft(BftMsgType::kPrePrepare, wire);
     accept_pre_prepare(std::move(pp));
   }
-  app_->on_new_view(view_, *this);
 }
 
 void Replica::handle_pre_prepare(NodeId from, BytesView body) {
@@ -1125,7 +1124,6 @@ void Replica::enter_view(uint64_t target_view, std::vector<PrePrepare> reproposa
     if (pp.seq <= low_watermark_) continue;
     accept_pre_prepare(std::move(pp));
   }
-  app_->on_new_view(view_, *this);
 
   // A backup-turned-primary re-proposes every request it knows is still
   // outstanding (clients also retransmit, and execution dedupes).

@@ -22,7 +22,6 @@
 #include "common/bytes.h"
 #include "host/fault.h"
 #include "obs/metrics.h"
-#include "sim/cost_model.h"
 #include "sim/simulator.h"
 
 namespace scab::sim {
@@ -49,9 +48,6 @@ class Node {
   /// Charges CPU time for work done inside the current handler. The node's
   /// processor stays busy accordingly and subsequent sends depart later.
   void charge(SimTime cost) { busy_until_ = std::max(busy_until_, sim_.now()) + cost; }
-  void charge(const CostModel& m, Op op, std::size_t bytes = 0) {
-    charge(m.cost(op, bytes));
-  }
 
   /// The virtual time at which work charged so far completes.
   SimTime ready_at() const { return std::max(busy_until_, sim_.now()); }

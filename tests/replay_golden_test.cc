@@ -140,7 +140,7 @@ Signature run(Protocol p, Scenario s) {
   opts.bft = bft::BftConfig::for_f(1);
   opts.bft.checkpoint_interval = 4;
   opts.profile = sim::NetworkProfile::lan();
-  opts.costs = sim::CostModel::default_symmetric_era();
+  opts.costs = host::CostModel::default_symmetric_era();
   opts.num_clients = kClients;
   opts.seed = 2017;
   opts.service_factory = [] { return std::make_unique<apps::KvStore>(); };

@@ -1,3 +1,4 @@
+#include "host/cost_model.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -318,21 +319,21 @@ TEST(NetworkTiming, JitterIsBoundedAndDeterministic) {
 }
 
 TEST(CostModel, ZeroModelChargesNothing) {
-  const CostModel m = CostModel::zero();
-  EXPECT_EQ(m.cost(Op::kTdh2Encrypt, 100000), 0u);
+  const host::CostModel m = host::CostModel::zero();
+  EXPECT_EQ(m.cost(host::Op::kTdh2Encrypt, 100000), 0u);
 }
 
 TEST(CostModel, PerByteScaling) {
-  CostModel m;
-  m.set(Op::kHash, {100, 1024});  // 1 ns per byte at the 1/1024 granularity
-  EXPECT_EQ(m.cost(Op::kHash, 0), 100u);
-  EXPECT_EQ(m.cost(Op::kHash, 2048), 100u + 2048u);
+  host::CostModel m;
+  m.set(host::Op::kHash, {100, 1024});  // 1 ns per byte at the 1/1024 granularity
+  EXPECT_EQ(m.cost(host::Op::kHash, 0), 100u);
+  EXPECT_EQ(m.cost(host::Op::kHash, 2048), 100u + 2048u);
 }
 
 TEST(CostModel, DefaultEraSeparatesSymmetricFromThreshold) {
-  const CostModel m = CostModel::default_symmetric_era();
+  const host::CostModel m = host::CostModel::default_symmetric_era();
   // The entire premise of the paper: threshold ops are ~1000x symmetric ops.
-  EXPECT_GT(m.cost(Op::kTdh2ShareDec), 1000 * m.cost(Op::kMac, 64));
+  EXPECT_GT(m.cost(host::Op::kTdh2ShareDec), 1000 * m.cost(host::Op::kMac, 64));
 }
 
 }  // namespace
