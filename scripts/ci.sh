@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full CI pipeline: default build + test suite, the bench_smoke metrics
-# check, then the whole suite again under ASan + UBSan (the `sanitize`
-# CMake preset).  Run from anywhere; ~a few minutes on a laptop.
+# Full CI pipeline: default build + test suite, the perfbench package's
+# build and unit tests, the bench_smoke metrics check, then the whole suite
+# again under ASan + UBSan (the `sanitize` CMake preset).  Run from
+# anywhere; ~a few minutes on a laptop.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +14,15 @@ cmake --build --preset default -j"$JOBS"
 
 echo "=== test suite ==="
 ctest --test-dir build --output-on-failure -j"$JOBS"
+
+echo "=== perfbench build (the scabd cluster benchmark's own package) ==="
+# perfbench/ compiles src/ and bench/bench_util.cc as a CMake project of
+# its own, which the default build never configures: build it and run its
+# unit tests so a change there cannot break the benchmark unseen.  The
+# benchmark itself is not run here (perfbench/run.py does that).
+cmake -S perfbench -B build/perfbench
+cmake --build build/perfbench -j"$JOBS"
+./build/perfbench/perfbench_tests
 
 # All JSON bench artifacts (BENCH_*.json) collect under build/bench/ —
 # both the shell redirections below and the files the benches write
