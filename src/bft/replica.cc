@@ -29,6 +29,7 @@ Replica::Replica(host::Host& host, NodeId id, BftConfig config,
   m_.view_changes_started = &metrics_.counter("bft.view_changes_started");
   m_.view_changes_completed = &metrics_.counter("bft.view_changes_completed");
   m_.replays_suppressed = &metrics_.counter("bft.replays_suppressed");
+  m_.replies_resent = &metrics_.counter("bft.replies_resent");
   m_.catchups_completed = &metrics_.counter("bft.recovery.catchups_completed");
   m_.wal_replayed = &metrics_.counter("bft.recovery.wal_replayed");
   m_.snapshot_loaded = &metrics_.counter("bft.recovery.snapshot_loaded");
@@ -481,6 +482,7 @@ void Replica::admit_request(NodeId client, ClientRequestMsg msg,
     if (auto cached = reply_cache_.find(client);
         cached != reply_cache_.end()) {
       if (const Bytes* wire = cached->second.find(msg.client_seq)) {
+        m_.replies_resent->inc();
         send_envelope(client, Channel::kReply, *wire);
       }
     }

@@ -58,13 +58,13 @@ Cluster::Cluster(ClusterOptions options)
     options_.service_factory = [] { return std::make_unique<EchoService>(0); };
   }
 
-  net_ = std::make_unique<sim::Network>(sim_, options_.profile, options_.seed,
-                                        &net_metrics_);
+  // Either host counts messages and fault drops into net_metrics_, so
+  // "net.*" reads the same on both runtimes.
   if (options_.runtime == RuntimeKind::kSim) {
-    host_ = std::make_unique<sim::SimHost>(*net_);
+    host_ = std::make_unique<sim::SimHost>(sim_, options_.profile,
+                                           options_.seed, &net_metrics_);
   } else {
-    // In-process loopback; the fault plan's drop counters land in
-    // net_metrics_ so "net.drops.*" reads the same on either runtime.
+    // In-process loopback.
     host_ = std::make_unique<rt::ThreadHost>(nullptr, &net_metrics_,
                                              options_.worker_threads);
   }

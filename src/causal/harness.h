@@ -118,7 +118,6 @@ class Cluster {
   ~Cluster();
 
   sim::Simulator& sim() { return sim_; }
-  sim::Network& net() { return *net_; }
   host::Host& host() { return *host_; }
   const bft::KeyRing& keys() const;
   const ClusterOptions& options() const { return options_; }
@@ -176,7 +175,8 @@ class Cluster {
   }
 
   // --- observability ---
-  /// Network-layer metrics ("net.*": drops by fault, egress wait, bytes).
+  /// Network-layer metrics ("net.*": messages and bytes, drops by fault;
+  /// "net.egress.*" under kSim only).
   obs::MetricsRegistry& net_metrics() { return net_metrics_; }
   /// Replica i's metrics ("bft.*" plus the protocol's "cpX.*").
   obs::MetricsRegistry& replica_metrics(uint32_t i) {
@@ -206,7 +206,6 @@ class Cluster {
   std::vector<std::unique_ptr<obs::MetricsRegistry>> replica_metrics_;
   std::vector<std::unique_ptr<obs::MetricsRegistry>> client_metrics_;
   obs::Tracer tracer_;
-  std::unique_ptr<sim::Network> net_;
   std::unique_ptr<host::Host> host_;  // outlives every bound endpoint below
   std::unique_ptr<bft::KeyRing> keys_;
   crypto::Drbg master_rng_;

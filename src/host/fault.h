@@ -2,12 +2,13 @@
 // (DESIGN.md §9).
 //
 // A host::FaultPlan is how tests, the chaos harness and the fault benches
-// inject failures without caring which runtime carries the cluster.  Each
-// host owns one and applies it at the point every message passes:
+// inject failures without caring which runtime carries the cluster.  The
+// host::Host base owns one per host, and each runtime applies it at the
+// point every message passes, before it looks for the destination:
 //
-//   * sim::Network applies it at send time, and checks the crash flag
-//     again at delivery for a node that crashed while a message was in
-//     flight;
+//   * sim::Network (borrowing the SimHost's plan) applies it at send time,
+//     and checks the crash flag again at delivery for a node that crashed
+//     while a message was in flight;
 //   * rt::ThreadHost applies it at its single delivery chokepoint in front
 //     of the per-node mailboxes, and defers a delayed message onto the
 //     receiver's own timer queue.

@@ -16,7 +16,10 @@
 //              after >= delay.
 //   Transport  send(from, to, bytes) — unicast, unordered across pairs,
 //              FIFO per (from, to) not guaranteed by the interface (the
-//              protocols tolerate reordering by design).
+//              protocols tolerate reordering by design).  Every host counts
+//              each send and each delivery into "net.messages_sent",
+//              "net.bytes_sent" and "net.messages_delivered" through the
+//              base's count_sent()/count_delivered().
 //   Executor   post(node, fn) — runs fn on `node`'s executor.  A node's
 //              handlers (on_message, timers, posted fns) NEVER run
 //              concurrently with each other: each node is a sequential
@@ -25,8 +28,8 @@
 //   charge     cost accounting hook.  The simulator turns charges into
 //              virtual busy-time (the paper's modeled CPU costs); real-time
 //              hosts ignore them — real work is measured, not modeled.
-//   Faults     faults() — the host's one fault plan (host/fault.h),
-//              applied to every message the host carries.
+//   Faults     faults() — the host's one fault plan (host/fault.h), owned
+//              by this base and applied to every message the host carries.
 //   Storage    storage(node) — durable per-node blob store + append log
 //              (host/storage.h), or nullptr when the node runs without
 //              durability.  One table in the Host base for every runtime;
@@ -46,6 +49,7 @@
 #include "host/storage.h"
 #include "host/time.h"
 #include "host/worker_pool.h"
+#include "obs/metrics.h"
 
 namespace scab::host {
 
@@ -99,6 +103,15 @@ class Host : public Clock,
              public Executor,
              public WorkerPool {
  public:
+  /// `metrics` (optional) receives the message counters and the fault
+  /// plan's "net.drops.*", all registered here so a dump carries them
+  /// before the first message.
+  explicit Host(obs::MetricsRegistry* metrics)
+      : faults_(metrics),
+        sent_(counter(metrics, "net.messages_sent")),
+        bytes_(counter(metrics, "net.bytes_sent")),
+        delivered_(counter(metrics, "net.messages_delivered")) {}
+
   /// Registers `endpoint` as node `id`.  Must complete before any traffic
   /// or timers target the node.
   virtual void bind(NodeId id, Node* endpoint) = 0;
@@ -119,7 +132,7 @@ class Host : public Clock,
 
   /// The fault plan (crash/cut/delay/tamper) applied to every message
   /// this host carries.
-  virtual FaultPlan& faults() = 0;
+  FaultPlan& faults() { return faults_; }
 
   /// Attaches (or replaces) durable storage for `id`.  The host OWNS it and
   /// keeps it across unbind/rebind of the id — that survival is the crash
@@ -139,7 +152,26 @@ class Host : public Clock,
     return it == storage_.end() ? nullptr : it->second.get();
   }
 
+ protected:
+  /// The counting points: a derived host calls count_sent() once per
+  /// send() with the size the sender sent, and count_delivered() once per
+  /// message it hands to a node.
+  void count_sent(std::size_t bytes) {
+    sent_.inc();
+    bytes_.inc(bytes);
+  }
+  void count_delivered() { delivered_.inc(); }
+
  private:
+  static obs::Counter& counter(obs::MetricsRegistry* metrics,
+                               std::string_view name) {
+    return (metrics ? *metrics : obs::MetricsRegistry::inert()).counter(name);
+  }
+
+  FaultPlan faults_;
+  obs::Counter& sent_;
+  obs::Counter& bytes_;
+  obs::Counter& delivered_;
   std::mutex storage_mu_;
   std::unordered_map<NodeId, std::unique_ptr<Storage>> storage_;
 };

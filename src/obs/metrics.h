@@ -2,8 +2,9 @@
 //
 // The paper's evaluation (§VI) is entirely about *where time goes* inside
 // CP0–CP3 — per-phase latency, queue depths, per-protocol crypto cost — so
-// every layer of the stack (sim::Network, bft::Replica/Client, the causal
-// apps) publishes named counters, gauges and log-scale histograms into a
+// every layer of the stack (host::Host's message counts on either runtime,
+// sim::Network's modeled NIC, bft::Replica/Client, the causal apps)
+// publishes named counters, gauges and log-scale histograms into a
 // MetricsRegistry.  Design constraints:
 //
 //  * Cheap enough to stay on in benchmarks: instruments are resolved ONCE

@@ -67,10 +67,10 @@ void ThreadHost::Worker::stop_and_join() {
 
 ThreadHost::ThreadHost(std::unique_ptr<rt::Transport> transport,
                        obs::MetricsRegistry* metrics, std::size_t pool_threads)
-    : epoch_(SteadyClock::now()),
+    : Host(metrics),
+      epoch_(SteadyClock::now()),
       transport_(transport ? std::move(transport)
-                           : std::make_unique<ChannelTransport>()),
-      faults_(metrics) {
+                           : std::make_unique<ChannelTransport>()) {
   pool_workers_.reserve(pool_threads);
   for (std::size_t i = 0; i < pool_threads; ++i) {
     pool_workers_.emplace_back([this] { pool_loop(); });
@@ -149,6 +149,7 @@ void ThreadHost::post(host::NodeId node, std::function<void()> fn) {
 }
 
 void ThreadHost::send(host::NodeId from, host::NodeId to, Bytes msg) {
+  count_sent(msg.size());
   transport_->send(from, to, std::move(msg));
 }
 
@@ -212,10 +213,11 @@ void ThreadHost::deliver(host::NodeId from, host::NodeId to, Bytes msg) {
   // The one chokepoint every inbound message funnels through, regardless of
   // transport (channel, socket loopback, socket peer) — so the fault filter
   // here covers every message the way sim::Network's send-time check does.
-  const host::FaultPlan::Verdict verdict = faults_.apply(from, to, msg);
+  const host::FaultPlan::Verdict verdict = faults().apply(from, to, msg);
   if (!verdict.deliver()) return;
   auto w = worker(to);
   if (!w) return;  // unknown destination: drop (mirrors the sim's Network)
+  count_delivered();
   host::Node* ep = w->endpoint;
   auto task = [ep, from, m = std::move(msg)] { ep->on_message(from, m); };
   if (verdict.extra > 0) {

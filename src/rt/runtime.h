@@ -11,7 +11,8 @@
 //   now()      steady-clock nanoseconds since host construction
 //   schedule   per-node timer heap, fired by the node's own worker
 //   send       delegated to an rt::Transport (in-process ChannelTransport
-//              by default; SocketTransport for multi-process runs)
+//              by default; SocketTransport for multi-process runs), and
+//              counted into the host's "net.messages_sent"/"net.bytes_sent"
 //   post       enqueue onto the node's mailbox
 //   submit     shared crypto worker pool (DESIGN.md §12): jobs fan out over
 //              `pool_threads` real threads; each completion is posted back
@@ -25,10 +26,11 @@
 // and cut links drop (counted by the plan into the same
 // "net.drops.{crash,cut,tamper}" counters the simulator uses), delayed
 // links defer delivery onto the receiver's own timer queue, and the tamper
-// hook may rewrite or drop payloads.  Live unbind/rebind is supported: a
-// node can be torn down mid-run (its worker joins, queued work dies with
-// it) and a replacement endpoint bound under the same id — this is what
-// Cluster::restart_replica rides on.
+// hook may rewrite or drop payloads.  A message that passes the plan is
+// counted into "net.messages_delivered" as it is handed to the mailbox.
+// Live unbind/rebind is supported: a node can be torn down mid-run (its
+// worker joins, queued work dies with it) and a replacement endpoint bound
+// under the same id — this is what Cluster::restart_replica rides on.
 #pragma once
 
 #include <chrono>
@@ -48,7 +50,8 @@ namespace scab::rt {
 class ThreadHost final : public host::Host {
  public:
   /// `transport` defaults to an in-process ChannelTransport.  `metrics`
-  /// (optional) receives the fault plan's "net.drops.*" counters.
+  /// (optional) receives the host's "net.messages_*"/"net.bytes_sent" and
+  /// the fault plan's "net.drops.*" counters.
   /// `pool_threads` sizes the shared crypto worker pool (0 = run submit()
   /// jobs inline on the caller).
   explicit ThreadHost(std::unique_ptr<rt::Transport> transport = nullptr,
@@ -71,10 +74,6 @@ class ThreadHost final : public host::Host {
     (void)cost;  // real hosts measure; they do not model
   }
   void stop() override;
-
-  host::FaultPlan& faults() override { return faults_; }
-
-  rt::Transport& transport() { return *transport_; }
 
  private:
   using SteadyClock = std::chrono::steady_clock;
@@ -104,7 +103,6 @@ class ThreadHost final : public host::Host {
 
   const SteadyClock::time_point epoch_;
   std::unique_ptr<rt::Transport> transport_;
-  host::FaultPlan faults_;
   // shared_ptr: deliver()/post()/schedule() hold a reference across the
   // enqueue, so a concurrent live unbind (node restart) cannot free the
   // worker out from under them; push_* on a stopping worker is a no-op.

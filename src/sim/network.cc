@@ -30,18 +30,15 @@ NetworkProfile NetworkProfile::ideal() {
   return p;
 }
 
-Network::Network(Simulator& sim, NetworkProfile profile, uint64_t jitter_seed,
+Network::Network(Simulator& sim, NetworkProfile profile,
+                 host::FaultPlan& faults, uint64_t jitter_seed,
                  obs::MetricsRegistry* metrics)
     : sim_(sim),
       profile_(profile),
-      faults_(metrics),
+      faults_(faults),
       jitter_state_((jitter_seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL) | 1),
-      metrics_(metrics ? *metrics : obs::MetricsRegistry::inert()) {
-  m_.sent = &metrics_.counter("net.messages_sent");
-  m_.bytes = &metrics_.counter("net.bytes_sent");
-  m_.delivered = &metrics_.counter("net.messages_delivered");
-  m_.egress_wait_ns = &metrics_.histogram("net.egress.wait_ns");
-}
+      metrics_(metrics ? *metrics : obs::MetricsRegistry::inert()),
+      egress_wait_ns_(metrics_.histogram("net.egress.wait_ns")) {}
 
 obs::Counter& Network::egress_bytes_counter(NodeId from) {
   auto it = egress_bytes_.find(from);
@@ -61,16 +58,13 @@ void Network::detach(NodeId id) { nodes_.erase(id); }
 void Network::send(NodeId from, NodeId to, Bytes msg) {
   // The sent size, not a tamper hook's rewrite, is what the NIC carries.
   const std::size_t size = msg.size();
-  ++messages_sent_;
-  bytes_sent_ += size;
-  m_.sent->inc();
-  m_.bytes->inc(size);
   egress_bytes_counter(from).inc(size);
 
-  if (!nodes_.contains(to)) return;
-
+  // The plan before the attach check: a crash_replica'd node is crashed
+  // before it is detached and readmitted only after it is re-attached, so
+  // its messages are counted as crash drops, as under rt::ThreadHost.
   const host::FaultPlan::Verdict verdict = faults_.apply(from, to, msg);
-  if (!verdict.deliver()) return;
+  if (!verdict.deliver() || !nodes_.contains(to)) return;
 
   // Departure: after the sender finishes the CPU work charged so far.
   SimTime depart = sim_.now();
@@ -87,7 +81,7 @@ void Network::send(NodeId from, NodeId to, Bytes msg) {
   }
   SimTime& free_at = egress_free_at_[from];
   const SimTime start_tx = std::max(depart, free_at);
-  m_.egress_wait_ns->record(start_tx - depart);
+  egress_wait_ns_.record(start_tx - depart);
   free_at = start_tx + tx;
 
   // Deterministic jitter (xorshift; independent of protocol randomness).
@@ -104,20 +98,6 @@ void Network::send(NodeId from, NodeId to, Bytes msg) {
   deliver(from, to, std::move(msg), arrival);
 }
 
-void Network::broadcast(NodeId from, const Bytes& msg,
-                        const std::function<bool(NodeId)>& to_filter) {
-  // Deterministic order: ascending id.
-  std::vector<NodeId> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& [id, _] : nodes_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (NodeId id : ids) {
-    if (id == from) continue;
-    if (to_filter && !to_filter(id)) continue;
-    send(from, id, msg);
-  }
-}
-
 void Network::deliver(NodeId from, NodeId to, Bytes msg, SimTime arrival) {
   sim_.schedule_at(arrival, [this, from, to, msg = std::move(msg)]() mutable {
     auto it = nodes_.find(to);
@@ -132,8 +112,6 @@ void Network::deliver(NodeId from, NodeId to, Bytes msg, SimTime arrival) {
       deliver(from, to, std::move(msg), start);
       return;
     }
-    ++messages_delivered_;
-    m_.delivered->inc();
     dst->on_message(from, msg);
   });
 }

@@ -11,12 +11,15 @@
 //    max(arrival, busy_until) and charges CPU cost through charge(); sends
 //    issued inside a handler depart when the charged work completes.
 //  * Faults are injected at the network boundary through the host's one
-//    fault plan (host/fault.h): crashed nodes, dropped or delayed links,
-//    and an arbitrary filter/tamper hook used by the Byzantine tests
-//    ("corrupt the decryption share of replica 2").
+//    fault plan (host/fault.h), which the network borrows: crashed nodes,
+//    dropped or delayed links, and an arbitrary filter/tamper hook used by
+//    the Byzantine tests ("corrupt the decryption share of replica 2").
+//
+// The network records only what the simulator models: "net.egress.*" (the
+// one NIC).  Message counts ("net.messages_sent", ...) belong to the host
+// (host/host.h), which counts them the same way on every runtime.
 #pragma once
 
-#include <functional>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -84,31 +87,21 @@ struct NetworkProfile {
 
 class Network {
  public:
-  /// `metrics` (optional) receives "net.*" counters, the fault plan's drop
-  /// attribution and the egress-wait histogram.
-  Network(Simulator& sim, NetworkProfile profile, uint64_t jitter_seed = 0,
-          obs::MetricsRegistry* metrics = nullptr);
+  /// `faults` is applied on send and must outlive the network; a node
+  /// that crashes while a message to it is in flight also loses that
+  /// message at delivery.  `metrics` (optional) receives "net.egress.*".
+  Network(Simulator& sim, NetworkProfile profile, host::FaultPlan& faults,
+          uint64_t jitter_seed = 0, obs::MetricsRegistry* metrics = nullptr);
 
   void attach(Node* node);
   void detach(NodeId id);
 
-  /// Sends `msg` from `from` to `to`.  Departure waits for the sender's
-  /// charged CPU work; the link applies serialization + latency + jitter;
-  /// the receiver's sequential processor then schedules on_message.
+  /// Sends `msg` from `from` to `to`.  The fault plan runs first, then a
+  /// message to a node that is not attached is dropped.  Departure waits
+  /// for the sender's charged CPU work; the link applies serialization +
+  /// latency + jitter; the receiver's sequential processor then schedules
+  /// on_message.
   void send(NodeId from, NodeId to, Bytes msg);
-
-  /// Sends to every attached node except the sender (the broadcast used by
-  /// reveal phases).  Self-delivery is the caller's job if wanted.
-  void broadcast(NodeId from, const Bytes& msg,
-                 const std::function<bool(NodeId)>& to_filter = nullptr);
-
-  /// Applied on send; a node that crashes while a message to it is in
-  /// flight also loses that message at delivery.
-  host::FaultPlan& faults() { return faults_; }
-
-  uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t messages_delivered() const { return messages_delivered_; }
 
   Simulator& sim() const { return sim_; }
 
@@ -121,21 +114,13 @@ class Network {
 
   Simulator& sim_;
   NetworkProfile profile_;
-  host::FaultPlan faults_;
+  host::FaultPlan& faults_;
   std::unordered_map<NodeId, Node*> nodes_;
   std::unordered_map<NodeId, SimTime> egress_free_at_;
   uint64_t jitter_state_;
-  uint64_t messages_sent_ = 0;
-  uint64_t bytes_sent_ = 0;
-  uint64_t messages_delivered_ = 0;
 
   obs::MetricsRegistry& metrics_;
-  struct {
-    obs::Counter* sent;
-    obs::Counter* bytes;
-    obs::Counter* delivered;
-    obs::Histogram* egress_wait_ns;  // start_tx - depart: NIC queueing delay
-  } m_;
+  obs::Histogram& egress_wait_ns_;  // start_tx - depart: NIC queueing delay
   // Per-sender egress byte counters ("net.egress.bytes.<id>"), resolved
   // lazily on first send so only attached-and-active nodes appear.
   std::unordered_map<NodeId, obs::Counter*> egress_bytes_;

@@ -3,7 +3,7 @@
 namespace scab::sim {
 
 void SimHost::bind(host::NodeId id, host::Node* endpoint) {
-  auto adapter = std::make_unique<Adapter>(net_.sim(), id, endpoint);
+  auto adapter = std::make_unique<Adapter>(*this, id, endpoint);
   net_.attach(adapter.get());
   adapters_[id] = std::move(adapter);
   ++bind_epochs_[id];

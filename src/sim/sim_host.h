@@ -14,10 +14,11 @@
 //                                                 node's sequential CPU)
 //
 // so a protocol stack running on SimHost is bit-for-bit identical to the
-// pre-refactor code that subclassed sim::Node directly.  Each bound
-// endpoint gets an internal Adapter node attached to the Network; the
-// adapter owns the busy_until_ bookkeeping that shapes message departure
-// and delivery times.
+// pre-refactor code that subclassed sim::Node directly.  The host owns its
+// Network; each bound endpoint gets an internal Adapter node attached to
+// it, which owns the busy_until_ bookkeeping that shapes message departure
+// and delivery times.  A send is counted in send(), a delivery when the
+// adapter hands the message to its endpoint.
 //
 // Node restart support: every bind bumps the node's epoch, and a scheduled
 // timer only fires if its node's epoch is unchanged — so timers armed by a
@@ -25,8 +26,8 @@
 // running against freed state.  The guard adds no events and no RNG draws:
 // event times, counts and ordering are untouched.
 //
-// faults() is the Network's fault plan, so the host surface and
-// net().faults() are one object.
+// The Network borrows the host's fault plan (faults()) and applies it on
+// send, before it checks that the destination is attached.
 #pragma once
 
 #include <memory>
@@ -39,7 +40,11 @@ namespace scab::sim {
 
 class SimHost final : public host::Host {
  public:
-  explicit SimHost(Network& net) : net_(net) {}
+  /// `metrics` (optional) receives the host's "net.*" counters and the
+  /// network's "net.egress.*".
+  SimHost(Simulator& sim, NetworkProfile profile, uint64_t jitter_seed,
+          obs::MetricsRegistry* metrics)
+      : Host(metrics), net_(sim, profile, faults(), jitter_seed, metrics) {}
 
   host::Time now() const override { return net_.sim().now(); }
 
@@ -60,6 +65,7 @@ class SimHost final : public host::Host {
   }
 
   void send(host::NodeId from, host::NodeId to, Bytes msg) override {
+    count_sent(msg.size());
     net_.send(from, to, std::move(msg));
   }
 
@@ -67,22 +73,20 @@ class SimHost final : public host::Host {
   void unbind(host::NodeId id) override;
   void charge(host::NodeId node, host::Time cost) override;
 
-  host::FaultPlan& faults() override { return net_.faults(); }
-
-  Network& net() { return net_; }
-
  private:
   /// The sim::Node the Network sees for one bound endpoint: relays
   /// deliveries and carries the sequential-CPU busy time.
   class Adapter : public Node {
    public:
-    Adapter(Simulator& sim, NodeId id, host::Node* endpoint)
-        : Node(sim, id), endpoint_(endpoint) {}
+    Adapter(SimHost& host, NodeId id, host::Node* endpoint)
+        : Node(host.net_.sim(), id), host_(host), endpoint_(endpoint) {}
     void on_message(NodeId from, BytesView msg) override {
+      host_.count_delivered();
       endpoint_->on_message(from, msg);
     }
 
    private:
+    SimHost& host_;
     host::Node* endpoint_;
   };
 
@@ -91,7 +95,7 @@ class SimHost final : public host::Host {
     return it == bind_epochs_.end() ? 0 : it->second;
   }
 
-  Network& net_;
+  Network net_;
   std::unordered_map<host::NodeId, std::unique_ptr<Adapter>> adapters_;
   // Bumped on every bind AND unbind, so timers from any earlier lifetime of
   // the id can never fire into a newer (or absent) endpoint.

@@ -26,7 +26,7 @@ TEST(Backoff, CrashedPrimaryCostsLogarithmicRetries) {
   Cluster cluster(opts);
 
   // Crash ALL replicas: no progress, no replies, every retry is futile.
-  for (uint32_t r = 0; r < cluster.n(); ++r) cluster.net().faults().crash(r);
+  for (uint32_t r = 0; r < cluster.n(); ++r) cluster.faults().crash(r);
 
   bft::Client& client = cluster.client(0);
   client.set_retry_timeout(10 * host::kMillisecond);

@@ -39,7 +39,7 @@ TEST(Byzantine, EquivocatingPrimaryCannotSplitState) {
   opts.bft.checkpoint_interval = 8;  // quick catch-up for the lagging replica
   Cluster cluster(opts);
 
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId to, BytesView msg) -> std::optional<Bytes> {
         if (from != 0 || to != 2) return Bytes(msg.begin(), msg.end());
         // Only rewrite PRE-PREPAREs from the primary to replica 2.
@@ -75,7 +75,7 @@ TEST(Byzantine, EquivocatingPrimaryCannotSplitState) {
 
   // Drive enough further traffic for a stable checkpoint; replica 2 then
   // detects it is behind and catches up via fetch — with the HONEST batch.
-  cluster.net().faults().clear_tamper();
+  cluster.faults().clear_tamper();
   auto& client = cluster.client(0);
   client.run_closed_loop(
       [](uint64_t i) {
@@ -113,9 +113,9 @@ TEST(Byzantine, ForgedVotesAreIgnored) {
   const Bytes body =
       bft::tag_bft(bft::BftMsgType::kPrepare, forged.serialize());
   for (NodeId to = 0; to < 3; ++to) {
-    cluster.net().send(3, to,
-                       bft::seal_envelope(cluster.keys(), bft::Channel::kBft,
-                                          3, to, body));
+    cluster.host().send(3, to,
+                        bft::seal_envelope(cluster.keys(), bft::Channel::kBft,
+                                           3, to, body));
   }
   // The cluster still works and no spurious view change happens.
   const auto r = cluster.run_one(0, apps::KvStore::put("k", to_bytes("v")));
@@ -131,7 +131,7 @@ TEST(Byzantine, SurvivesLossyReplicaLinks) {
   Cluster cluster(opts);
 
   uint64_t rng_state = 0x12345678;
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId to, BytesView msg) -> std::optional<Bytes> {
         rng_state ^= rng_state << 13;
         rng_state ^= rng_state >> 7;
@@ -156,7 +156,7 @@ TEST(Byzantine, SurvivesLossyReplicaLinks) {
 
   // Drain in-flight work, then compare state divergence-free across the
   // replicas that executed everything.
-  cluster.net().faults().clear_tamper();
+  cluster.faults().clear_tamper();
   cluster.sim().run_until(cluster.sim().now() + 100 * kMillisecond);
   std::size_t max_size = 0;
   for (uint32_t i = 0; i < cluster.n(); ++i) {
@@ -192,16 +192,16 @@ TEST(Byzantine, Cp1ForgedOpeningRejected) {
   const Bytes body = evil.serialize();
   // Unsealed spoofed bytes are dropped at the envelope layer.
   for (NodeId r = 0; r < cluster.n(); ++r) {
-    cluster.net().send(Cluster::client_id(0), r, body);
+    cluster.host().send(Cluster::client_id(0), r, body);
   }
   // A properly sealed forgery from the corrupt replica 3's own identity:
   // the reveal's header names client 100, the sender is 3 -> rejected.
   for (NodeId r = 0; r < cluster.n(); ++r) {
     if (r == 3) continue;
-    cluster.net().send(
+    cluster.host().send(
         3, r,
         bft::seal_envelope(cluster.keys(), bft::Channel::kClientRequest, 3, r,
-                           body));
+                            body));
   }
   cluster.sim().run_until(cluster.sim().now() + 50 * kMillisecond);
 
@@ -234,9 +234,9 @@ TEST(Byzantine, Cp0BogusShareFloodCannotGrowState) {
     const Bytes body = std::move(w).take();
     for (NodeId r = 0; r < cluster.n(); ++r) {
       if (r == attacker) continue;
-      cluster.net().send(attacker, r,
-                         bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
-                                            attacker, r, body));
+      cluster.host().send(attacker, r,
+                          bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
+                                             attacker, r, body));
     }
   }
   cluster.sim().run_until(cluster.sim().now() + 100 * kMillisecond);
@@ -276,9 +276,9 @@ TEST(Byzantine, Cp0ClientCannotTriggerShareResends) {
     w.bytes(Bytes{});
     const Bytes body = std::move(w).take();
     for (NodeId r = 0; r < cluster.n(); ++r) {
-      cluster.net().send(client, r,
-                         bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
-                                            client, r, body));
+      cluster.host().send(client, r,
+                          bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
+                                             client, r, body));
     }
   }
   cluster.sim().run_until(cluster.sim().now() + 100 * kMillisecond);
@@ -338,9 +338,9 @@ TEST(Byzantine, CheckpointFloodCannotGrowVoteMap) {
         bft::tag_bft(bft::BftMsgType::kCheckpoint, cp.serialize());
     for (NodeId r = 0; r < cluster.n(); ++r) {
       if (r == attacker) continue;
-      cluster.net().send(attacker, r,
-                         bft::seal_envelope(cluster.keys(), bft::Channel::kBft,
-                                            attacker, r, body));
+      cluster.host().send(attacker, r,
+                          bft::seal_envelope(cluster.keys(), bft::Channel::kBft,
+                                             attacker, r, body));
     }
   }
   cluster.sim().run_until(cluster.sim().now() + 100 * kMillisecond);
@@ -381,9 +381,9 @@ TEST(Byzantine, ViewChangeFloodKeepsOneVotePerSender) {
         bft::tag_bft(bft::BftMsgType::kViewChange, vc.serialize());
     for (NodeId r = 0; r < cluster.n(); ++r) {
       if (r == attacker) continue;
-      cluster.net().send(attacker, r,
-                         bft::seal_envelope(cluster.keys(), bft::Channel::kBft,
-                                            attacker, r, body));
+      cluster.host().send(attacker, r,
+                          bft::seal_envelope(cluster.keys(), bft::Channel::kBft,
+                                             attacker, r, body));
     }
   }
   cluster.sim().run_until(cluster.sim().now() + 100 * kMillisecond);
@@ -436,9 +436,9 @@ TEST(Byzantine, ClientSeqZeroReplayExecutesOnce) {
     const Bytes body =
         bft::tag_bft(bft::BftMsgType::kPrePrepare, pp.serialize());
     for (NodeId r = 1; r < cluster.n(); ++r) {
-      cluster.net().send(0, r,
-                         bft::seal_envelope(cluster.keys(), bft::Channel::kBft,
-                                            0, r, body));
+      cluster.host().send(0, r,
+                          bft::seal_envelope(cluster.keys(), bft::Channel::kBft,
+                                             0, r, body));
     }
   }
   cluster.sim().run_until(cluster.sim().now() + 200 * kMillisecond);

@@ -175,7 +175,7 @@ TEST(Cp0, RequestContentHiddenUntilScheduled) {
   Cluster cluster(opts);
   const Bytes secret = to_bytes("super-secret-trade-0xdeadbeef");
   bool secret_leaked = false;
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId /*to*/, BytesView msg) -> std::optional<Bytes> {
         if (from >= kClientBase) {
           const std::string hay(msg.begin(), msg.end());
@@ -278,7 +278,7 @@ TEST(FrontRunning, SucceedsAgainstPlainPbft) {
   // The honest client's link to the primary is slow (modeled as a cut that
   // heals); the Byzantine backup that DID receive the cleartext request
   // tells its colluding client, which immediately registers the same name.
-  cluster.net().faults().cut(honest, 0);
+  cluster.faults().cut(honest, 0);
   cluster.client(0).submit(apps::DnsRegistry::register_name("gold.example"));
   cluster.sim().run_until(cluster.sim().now() + 5 * kMillisecond);
 
@@ -289,7 +289,7 @@ TEST(FrontRunning, SucceedsAgainstPlainPbft) {
   ASSERT_TRUE(stolen.has_value());
   EXPECT_EQ(*stolen, to_bytes("registered"));
 
-  cluster.net().faults().heal(honest, 0);
+  cluster.faults().heal(honest, 0);
   const bool honest_done = cluster.sim().run_while(
       [&] { return cluster.client(0).completed_ops() >= 1; });
   ASSERT_TRUE(honest_done);
@@ -317,7 +317,7 @@ TEST(FrontRunning, FailsAgainstCp1) {
   // Capture the honest client's schedule payload off the wire (this is all
   // a Byzantine replica can see: the commitment).
   Bytes observed_schedule;
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId /*to*/, BytesView msg) -> std::optional<Bytes> {
         if (from == honest && observed_schedule.empty()) {
           observed_schedule.assign(msg.begin(), msg.end());
@@ -327,7 +327,7 @@ TEST(FrontRunning, FailsAgainstCp1) {
 
   // Slow the honest client's reveal path to give the adversary every
   // advantage: cut the link to the primary during the schedule phase.
-  cluster.net().faults().cut(honest, 0);
+  cluster.faults().cut(honest, 0);
   cluster.client(0).submit(apps::DnsRegistry::register_name("gold.example"));
   cluster.sim().run_until(cluster.sim().now() + 5 * kMillisecond);
   ASSERT_FALSE(observed_schedule.empty());
@@ -348,16 +348,16 @@ TEST(FrontRunning, FailsAgainstCp1) {
     evil.payload = req->payload;
     const Bytes body = evil.serialize();
     for (NodeId r = 0; r < cluster.n(); ++r) {
-      cluster.net().send(corrupt, r,
-                         bft::seal_envelope(cluster.keys(),
-                                            bft::Channel::kClientRequest,
-                                            corrupt, r, body));
+      cluster.host().send(corrupt, r,
+                          bft::seal_envelope(cluster.keys(),
+                                             bft::Channel::kClientRequest,
+                                             corrupt, r, body));
     }
   }
   cluster.sim().run_until(cluster.sim().now() + 20 * kMillisecond);
 
   // Heal; the honest client retransmits, schedules, reveals, executes.
-  cluster.net().faults().heal(honest, 0);
+  cluster.faults().heal(honest, 0);
   const bool honest_done = cluster.sim().run_while(
       [&] { return cluster.client(0).completed_ops() >= 1; });
   ASSERT_TRUE(honest_done);
@@ -378,7 +378,7 @@ TEST(FrontRunning, FailsAgainstCp2) {
 
   const Bytes secret_op = apps::TradingService::buy("ACME", 100);
   bool leaked = false;
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId /*to*/, BytesView msg) -> std::optional<Bytes> {
         if (from == Cluster::client_id(0)) {
           // AEAD protects the shares: the op must not appear on the wire.

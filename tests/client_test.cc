@@ -76,7 +76,7 @@ class SilentProtocol final : public bft::ClientProtocol {
 
 TEST(Client, RetryTimerOfReplacedSlotNeverFiresIntoItsSuccessor) {
   Cluster cluster(pbft_lan(12));
-  for (uint32_t r = 0; r < cluster.n(); ++r) cluster.net().faults().crash(r);
+  for (uint32_t r = 0; r < cluster.n(); ++r) cluster.faults().crash(r);
   bft::Client& client = cluster.client(0);
   const host::Time timeout = 100 * host::kMillisecond;
   client.set_retry_timeout(timeout);

@@ -235,7 +235,8 @@ TEST(DumpRecord, ValidatesAgainstDaemonSchemaWithHostileMetricNames) {
   for (const char* name :
        {"bft.requests_executed", "bft.batches_proposed",
         "bft.recovery.catchups_completed", "net.rt.send_errors",
-        "net.rt.accept_errors", "net.drops.crash", "net.drops.cut",
+        "net.rt.accept_errors", "net.messages_sent", "net.bytes_sent",
+        "net.messages_delivered", "net.drops.crash", "net.drops.cut",
         "net.drops.tamper"}) {
     metrics.counter(name).inc();
   }

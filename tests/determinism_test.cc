@@ -59,7 +59,7 @@ RunSignature run_stack(Protocol protocol, Engine engine, uint64_t seed,
   sig.total_latency =
       cluster.client(0).total_latency() + cluster.client(1).total_latency();
   sig.events = cluster.sim().events_processed();
-  sig.messages = cluster.net().messages_sent();
+  sig.messages = cluster.net_metrics().counter("net.messages_sent").value();
   sig.last_result = cluster.client(0).last_result();
   return sig;
 }

@@ -1,12 +1,15 @@
 // Runtime-agnostic fault injection (DESIGN.md §9): the same
 // host::FaultPlan calls drive a partition -> view-change -> heal drill
-// on the deterministic simulator and on the real-time threaded runtime.
+// on the deterministic simulator and on the real-time threaded runtime, and
+// both hosts count the messages they carry under the same "net.*" names.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "bft/client.h"
 #include "bft/replica.h"
@@ -168,6 +171,134 @@ TEST_P(FaultsTest, EveryControlAttributesDropsAlikeOnBothRuntimes) {
   // Nothing is left in the plan: the cluster orders a request as usual.
   EXPECT_TRUE(cluster.run_one(0, to_bytes("after-the-drill")).has_value());
   cluster.shutdown();
+}
+
+// The wire as each runtime's host counted it, read after shutdown.
+struct Wire {
+  uint64_t sent = 0;
+  uint64_t bytes = 0;
+  uint64_t delivered = 0;
+  uint64_t drops = 0;  // every net.drops.* reason
+  uint64_t crash_drops = 0;
+  // No send that depends on timing: no timer fired (client retry, view
+  // change, reveal retry) and no replica answered a request copy that
+  // reached it after it had executed the request (a threaded client's
+  // multicast can be overtaken by the whole protocol run).
+  bool quiet = false;
+};
+
+Wire read_wire(Cluster& cluster) {
+  obs::MetricsRegistry& net = cluster.net_metrics();
+  const auto value = [&](const char* name) {
+    return net.counter(name).value();
+  };
+  Wire w;
+  w.sent = value("net.messages_sent");
+  w.bytes = value("net.bytes_sent");
+  w.delivered = value("net.messages_delivered");
+  w.crash_drops = value("net.drops.crash");
+  w.drops = w.crash_drops + value("net.drops.cut") + value("net.drops.tamper");
+  uint64_t timed =
+      cluster.client_metrics(0).counter("client.retries").value();
+  for (uint32_t r = 0; r < cluster.n(); ++r) {
+    for (const auto& [name, v] : cluster.replica_metrics(r).counter_values()) {
+      if (name == "bft.view_changes_started" || name == "bft.replies_resent" ||
+          name.ends_with(".reveal_retries")) {
+        timed += v;
+      }
+    }
+  }
+  w.quiet = timed == 0;
+  return w;
+}
+
+// Runs `ops` requests from client 0, then lets every live replica execute
+// all `executed` requests so far.  Both runtimes then stop at the same
+// protocol state: every message of these requests has been sent, and none
+// more will be.  Returns whether that state was reached.
+bool run_and_settle(Cluster& cluster, int ops, uint64_t executed) {
+  for (int i = 0; i < ops; ++i) {
+    if (!cluster.run_one(0, to_bytes("op-" + std::to_string(i)))) return false;
+  }
+  const auto settled = [&] {
+    for (uint32_t r = 0; r < cluster.n(); ++r) {
+      if (cluster.faults().is_crashed(r)) continue;
+      if (cluster.replica_metrics(r).counter("bft.requests_executed").value() <
+          executed) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (cluster.options().runtime == RuntimeKind::kSim) {
+    return cluster.sim().run_while(settled);
+  }
+  const auto stop_at =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!settled() && std::chrono::steady_clock::now() < stop_at) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return settled();
+}
+
+ClusterOptions cross_runtime_options(Protocol protocol, RuntimeKind runtime) {
+  ClusterOptions opts;
+  opts.protocol = protocol;
+  opts.runtime = runtime;
+  opts.num_clients = 1;
+  opts.seed = 7;
+  return opts;
+}
+
+// One name set on both runtimes: the host counts each message it sends and
+// each one it hands to a node, so the same requests read the same
+// "net.messages_sent" and "net.bytes_sent" under the sim and under threads.
+// A send that depends on timing adds traffic the other run lacks, so
+// equality is asserted only when the threaded run had none (Wire::quiet).
+TEST(CrossRuntime, HostCountsTheSameMessagesOnBothRuntimes) {
+  for (Protocol protocol : {Protocol::kPbft, Protocol::kCp2}) {
+    SCOPED_TRACE(protocol_name(protocol));
+    std::array<Wire, 2> wire;  // sim, threads
+    for (RuntimeKind runtime : {RuntimeKind::kSim, RuntimeKind::kThreads}) {
+      Cluster cluster(cross_runtime_options(protocol, runtime));
+      ASSERT_TRUE(run_and_settle(cluster, 3, 3));
+      cluster.shutdown();
+      wire[runtime == RuntimeKind::kThreads] = read_wire(cluster);
+    }
+    const Wire& sim = wire[0];
+    const Wire& threads = wire[1];
+    EXPECT_GT(sim.sent, 0u);
+    EXPECT_GT(sim.bytes, 0u);
+    EXPECT_GT(threads.sent, 0u);
+    EXPECT_GT(threads.bytes, 0u);
+    // After shutdown every message the threaded host sent was either handed
+    // to a mailbox or dropped by the plan.
+    EXPECT_EQ(threads.sent, threads.delivered + threads.drops);
+    if (threads.quiet) {
+      EXPECT_EQ(sim.sent, threads.sent);
+      EXPECT_EQ(sim.bytes, threads.bytes);
+    }
+  }
+}
+
+// A replica torn down by crash_replica is crashed before it is unbound, so
+// both runtimes count the messages addressed to it as crash drops (the sim
+// applies the plan before it looks for the destination).
+TEST(CrossRuntime, CrashedReplicaDropsCountAlikeOnBothRuntimes) {
+  std::array<Wire, 2> wire;  // sim, threads
+  for (RuntimeKind runtime : {RuntimeKind::kSim, RuntimeKind::kThreads}) {
+    Cluster cluster(cross_runtime_options(Protocol::kPbft, runtime));
+    ASSERT_TRUE(run_and_settle(cluster, 1, 1));
+    cluster.crash_replica(3);
+    ASSERT_TRUE(run_and_settle(cluster, 3, 4));
+    cluster.shutdown();
+    wire[runtime == RuntimeKind::kThreads] = read_wire(cluster);
+  }
+  EXPECT_GT(wire[0].crash_drops, 0u);
+  EXPECT_GT(wire[1].crash_drops, 0u);
+  if (wire[1].quiet) {
+    EXPECT_EQ(wire[0].crash_drops, wire[1].crash_drops);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -191,25 +191,25 @@ TEST(ObsIntegration, NetworkDropAttribution) {
   EXPECT_GT(net_m.counter_value("net.messages_delivered"), 0u);
 
   // Crash replica 3: its traffic is dropped, attributed to kCrash only.
-  cluster.net().faults().crash(3);
+  cluster.faults().crash(3);
   ASSERT_TRUE(cluster.run_one(0, apps::KvStore::put("b", to_bytes("2"))));
   EXPECT_GT(net_m.counter_value("net.drops.crash"), 0u);
   EXPECT_EQ(net_m.counter_value("net.drops.cut"), 0u);
   EXPECT_EQ(net_m.counter_value("net.drops.tamper"), 0u);
-  cluster.net().faults().restart(3);
+  cluster.faults().restart(3);
 
   // Cut one direction of one link: attributed to kCut only.
   const uint64_t crash_before = net_m.counter_value("net.drops.crash");
-  cluster.net().faults().cut(1, 2);
+  cluster.faults().cut(1, 2);
   ASSERT_TRUE(cluster.run_one(0, apps::KvStore::put("c", to_bytes("3"))));
   EXPECT_GT(net_m.counter_value("net.drops.cut"), 0u);
   EXPECT_EQ(net_m.counter_value("net.drops.crash"), crash_before);
   EXPECT_EQ(net_m.counter_value("net.drops.tamper"), 0u);
-  cluster.net().faults().heal(1, 2);
+  cluster.faults().heal(1, 2);
 
   // Tamper hook dropping 2 -> 3 traffic: attributed to kTamper only.
   const uint64_t cut_before = net_m.counter_value("net.drops.cut");
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [](sim::NodeId from, sim::NodeId to,
          BytesView msg) -> std::optional<Bytes> {
         if (from == 2 && to == 3) return std::nullopt;
@@ -270,7 +270,7 @@ TEST(ObsIntegration, CorruptSharesMoveRejectionCounters) {
   // with honest shares in flight the corrupt one might never be checked.
   // Starve replica 0 of the honest reveal traffic (causal channel only) so
   // the corrupt share is the only peer share it ever verifies.
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](sim::NodeId from, sim::NodeId to,
           BytesView msg) -> std::optional<Bytes> {
         if ((from == 1 || from == 2) && to == 0) {
@@ -323,9 +323,9 @@ TEST(ObsIntegration, BogusShareFloodMovesOnlyEarlyStash) {
         .write(w);
     w.bytes(to_bytes("bogus-share-" + std::to_string(i)));
     const Bytes body = std::move(w).take();
-    cluster.net().send(attacker, 1,
-                       bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
-                                          attacker, 1, body));
+    cluster.host().send(attacker, 1,
+                        bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
+                                           attacker, 1, body));
   }
   cluster.sim().run_until(cluster.sim().now() + 50 * kMillisecond);
 

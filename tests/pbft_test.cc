@@ -109,7 +109,7 @@ TEST(Pbft, CheckpointsAdvanceTheWatermark) {
 
 TEST(Pbft, SurvivesBackupCrash) {
   Cluster cluster(base_options());
-  cluster.net().faults().crash(2);  // one backup; f = 1 tolerated
+  cluster.faults().crash(2);  // one backup; f = 1 tolerated
   auto& client = cluster.client(0);
   client.run_closed_loop([](uint64_t) { return Bytes(16, 3); }, 15);
   cluster.sim().run_while([&] { return client.completed_ops() >= 15; });
@@ -123,7 +123,7 @@ TEST(Pbft, PrimaryCrashTriggersViewChangeAndRecovers) {
   opts.bft.watchdog_period = 200 * kMillisecond;
   Cluster cluster(opts);
 
-  cluster.net().faults().crash(0);  // the view-0 primary is dead
+  cluster.faults().crash(0);  // the view-0 primary is dead
   const auto result = cluster.run_one(0, to_bytes("survive"), 60 * kSecond);
   ASSERT_TRUE(result.has_value());
   for (uint32_t i = 1; i < cluster.n(); ++i) {
@@ -139,13 +139,13 @@ TEST(Pbft, RepeatedPrimaryFailuresAdvanceViews) {
   Cluster cluster(opts);
 
   // Kill primaries of views 0 and 1: the cluster must reach view >= 2.
-  cluster.net().faults().crash(0);
-  cluster.net().faults().crash(1);
+  cluster.faults().crash(0);
+  cluster.faults().crash(1);
   // f = 1 but two crashed replicas: the remaining 2 < 2f+1 cannot commit.
   // So instead: recover 1 after the first view change.
   const auto unreachable = cluster.run_one(0, to_bytes("x"), 3 * kSecond);
   EXPECT_FALSE(unreachable.has_value());
-  cluster.net().faults().restart(1);
+  cluster.faults().restart(1);
   const auto result = cluster.run_one(0, to_bytes("y"), 60 * kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_GE(cluster.replica(2).view(), 1u);
@@ -157,8 +157,8 @@ TEST(Pbft, LaggingReplicaCatchesUpViaFetch) {
   Cluster cluster(opts);
 
   // Isolate replica 3's inbound links: it misses everything.
-  for (NodeId r = 0; r < 3; ++r) cluster.net().faults().cut(r, 3);
-  cluster.net().faults().cut(Cluster::client_id(0), 3);
+  for (NodeId r = 0; r < 3; ++r) cluster.faults().cut(r, 3);
+  cluster.faults().cut(Cluster::client_id(0), 3);
 
   auto& client = cluster.client(0);
   client.run_closed_loop([](uint64_t) { return Bytes(8, 4); }, 30);
@@ -166,8 +166,8 @@ TEST(Pbft, LaggingReplicaCatchesUpViaFetch) {
   EXPECT_EQ(cluster.replica(3).executed_requests(), 0u);
 
   // Heal and push more traffic so new checkpoints reach replica 3.
-  for (NodeId r = 0; r < 3; ++r) cluster.net().faults().heal(r, 3);
-  cluster.net().faults().heal(Cluster::client_id(0), 3);
+  for (NodeId r = 0; r < 3; ++r) cluster.faults().heal(r, 3);
+  cluster.faults().heal(Cluster::client_id(0), 3);
   client.run_closed_loop([](uint64_t) { return Bytes(8, 5); }, 30);
   const bool caught_up = cluster.sim().run_while([&] {
     return cluster.replica(3).executed_requests() >= 50 ||
@@ -188,7 +188,7 @@ TEST(Pbft, FairnessWatchdogDemotesStarvingPrimary) {
   opts.profile = sim::NetworkProfile::lan();  // realistic pacing
   Cluster cluster(opts);
 
-  cluster.net().faults().cut(Cluster::client_id(1), 0);  // primary never sees c1
+  cluster.faults().cut(Cluster::client_id(1), 0);  // primary never sees c1
 
   auto& happy = cluster.client(0);
   happy.run_closed_loop([](uint64_t) { return Bytes(8, 6); }, 0);

@@ -127,9 +127,9 @@ void flood_early_shares(Cluster& cluster, Protocol p) {
     for (bft::NodeId to = 0; to < cluster.n(); ++to) {
       if (to == kFaultyReplica) continue;
       const Bytes body = bogus_share_body(cluster, p, kFaultyReplica, to, id, rng);
-      cluster.net().send(kFaultyReplica, to,
-                         bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
-                                            kFaultyReplica, to, body));
+      cluster.host().send(kFaultyReplica, to,
+                          bft::seal_envelope(cluster.keys(), bft::Channel::kCausal,
+                                             kFaultyReplica, to, body));
     }
   }
 }
@@ -188,7 +188,7 @@ Signature run(Protocol p, Scenario s) {
   // retry / re-request machinery gets to run.
   sim.run_until(sim.now() + 10 * sim::kSecond);
   sig.events = sim.events_processed();
-  sig.messages = cluster.net().messages_sent();
+  sig.messages = cluster.net_metrics().counter("net.messages_sent").value();
   const Bytes digest = crypto::sha256(cluster.client(0).last_result());
   for (int i = 0; i < 8; ++i) sig.result_digest = (sig.result_digest << 8) | digest[i];
   const std::string pfx = prefix(p);

@@ -52,7 +52,7 @@ TEST_P(WireSecrecyTest, PlaintextNeverOnTheWireBeforeReveal) {
   // plaintext to REPLICAS (that is the point), so we only scan traffic
   // originating at the client.
   bool leaked_from_client = false;
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId /*to*/, BytesView msg) -> std::optional<Bytes> {
         if (from >= kClientBase) {
           const std::string hay(msg.begin(), msg.end());
@@ -103,7 +103,7 @@ TEST(WireSecrecy, ShareExchangeIsEncrypted) {
     const Bytes secret = crypto::Drbg(to_bytes("m2")).generate(24);
     const std::string needle(secret.begin(), secret.end());
     bool leaked_anywhere = false;
-    cluster.net().faults().set_tamper(
+    cluster.faults().set_tamper(
         [&](NodeId, NodeId, BytesView msg) -> std::optional<Bytes> {
           const std::string hay(msg.begin(), msg.end());
           if (hay.find(needle) != std::string::npos) leaked_anywhere = true;
@@ -133,7 +133,7 @@ TEST(ScheduleRevealAlternation, SharesAloneDoNotExecute) {
 
   // Drop the client's REQUEST channel messages (the schedule step) but let
   // the causal-channel share distribution through.
-  cluster.net().faults().set_tamper(
+  cluster.faults().set_tamper(
       [&](NodeId from, NodeId to, BytesView msg) -> std::optional<Bytes> {
         if (from != Cluster::client_id(0)) return Bytes(msg.begin(), msg.end());
         auto env = bft::open_envelope(cluster.keys(), to, msg);

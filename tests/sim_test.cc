@@ -1,4 +1,5 @@
 #include "host/cost_model.h"
+#include "host/fault.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -99,7 +100,7 @@ class Recorder : public Node {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : net_(sim_, NetworkProfile::ideal()) {
+  NetworkTest() : net_(sim_, NetworkProfile::ideal(), faults_) {
     for (NodeId i = 0; i < 3; ++i) {
       nodes_.push_back(std::make_unique<Recorder>(sim_, i));
       net_.attach(nodes_.back().get());
@@ -107,6 +108,7 @@ class NetworkTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  host::FaultPlan faults_{nullptr};
   Network net_;
   std::vector<std::unique_ptr<Recorder>> nodes_;
 };
@@ -120,56 +122,41 @@ TEST_F(NetworkTest, PointToPointDelivery) {
   EXPECT_TRUE(nodes_[0]->received.empty());
 }
 
-TEST_F(NetworkTest, BroadcastSkipsSender) {
-  net_.broadcast(0, to_bytes("b"));
-  sim_.run();
-  EXPECT_TRUE(nodes_[0]->received.empty());
-  EXPECT_EQ(nodes_[1]->received.size(), 1u);
-  EXPECT_EQ(nodes_[2]->received.size(), 1u);
-}
-
-TEST_F(NetworkTest, BroadcastFilter) {
-  net_.broadcast(0, to_bytes("b"), [](NodeId id) { return id == 2; });
-  sim_.run();
-  EXPECT_TRUE(nodes_[1]->received.empty());
-  EXPECT_EQ(nodes_[2]->received.size(), 1u);
-}
-
 TEST_F(NetworkTest, UnknownDestinationIsDroppedSilently) {
   net_.send(0, 99, to_bytes("x"));
   sim_.run();
-  EXPECT_EQ(net_.messages_delivered(), 0u);
+  for (const auto& node : nodes_) EXPECT_TRUE(node->received.empty());
 }
 
 TEST_F(NetworkTest, CrashedNodeNeitherSendsNorReceives) {
-  net_.faults().crash(1);
+  faults_.crash(1);
   net_.send(0, 1, to_bytes("to-crashed"));
   net_.send(1, 2, to_bytes("from-crashed"));
   sim_.run();
   EXPECT_TRUE(nodes_[1]->received.empty());
   EXPECT_TRUE(nodes_[2]->received.empty());
 
-  net_.faults().restart(1);
+  faults_.restart(1);
   net_.send(0, 1, to_bytes("back"));
   sim_.run();
   EXPECT_EQ(nodes_[1]->received.size(), 1u);
 }
 
 TEST_F(NetworkTest, CutLinkIsDirectional) {
-  net_.faults().cut(0, 1);
+  faults_.cut(0, 1);
   net_.send(0, 1, to_bytes("x"));
   net_.send(1, 0, to_bytes("y"));
   sim_.run();
   EXPECT_TRUE(nodes_[1]->received.empty());
   EXPECT_EQ(nodes_[0]->received.size(), 1u);
-  net_.faults().heal(0, 1);
+  faults_.heal(0, 1);
   net_.send(0, 1, to_bytes("x2"));
   sim_.run();
   EXPECT_EQ(nodes_[1]->received.size(), 1u);
 }
 
 TEST_F(NetworkTest, TamperHookModifiesAndDrops) {
-  net_.faults().set_tamper([](NodeId, NodeId to, BytesView msg) -> std::optional<Bytes> {
+  faults_.set_tamper([](NodeId, NodeId to, BytesView msg) -> std::optional<Bytes> {
     if (to == 1) return std::nullopt;  // drop to node 1
     Bytes m(msg.begin(), msg.end());
     m[0] ^= 0xff;  // corrupt to others
@@ -187,7 +174,8 @@ TEST(NetworkTiming, LatencyIsApplied) {
   Simulator sim;
   NetworkProfile p;  // ideal + explicit latency
   p.link.latency = 5 * kMillisecond;
-  Network net(sim, p);
+  host::FaultPlan faults(nullptr);
+  Network net(sim, p, faults);
   Recorder a(sim, 0), b(sim, 1);
   net.attach(&a);
   net.attach(&b);
@@ -201,7 +189,8 @@ TEST(NetworkTiming, BandwidthSerializesLargeMessages) {
   Simulator sim;
   NetworkProfile p;
   p.link.bandwidth_bps = 1'000'000;  // 1 MB/s: 1000 bytes take 1 ms
-  Network net(sim, p);
+  host::FaultPlan faults(nullptr);
+  Network net(sim, p, faults);
   Recorder a(sim, 0), b(sim, 1);
   net.attach(&a);
   net.attach(&b);
@@ -215,7 +204,8 @@ TEST(NetworkTiming, BackToBackMessagesQueueOnTheLink) {
   Simulator sim;
   NetworkProfile p;
   p.link.bandwidth_bps = 1'000'000;
-  Network net(sim, p);
+  host::FaultPlan faults(nullptr);
+  Network net(sim, p, faults);
   Recorder a(sim, 0), b(sim, 1);
   net.attach(&a);
   net.attach(&b);
@@ -233,7 +223,8 @@ TEST(NetworkTiming, EgressPipeSharedAcrossDestinations) {
   Simulator sim;
   NetworkProfile p;
   p.link.bandwidth_bps = 1'000'000;
-  Network net(sim, p);
+  host::FaultPlan faults(nullptr);
+  Network net(sim, p, faults);
   Recorder a(sim, 0), b(sim, 1), c(sim, 2);
   net.attach(&a);
   net.attach(&b);
@@ -249,7 +240,8 @@ TEST(NetworkTiming, DistinctSendersDoNotInterfere) {
   Simulator sim;
   NetworkProfile p;
   p.link.bandwidth_bps = 1'000'000;
-  Network net(sim, p);
+  host::FaultPlan faults(nullptr);
+  Network net(sim, p, faults);
   Recorder a(sim, 0), b(sim, 1), c(sim, 2);
   net.attach(&a);
   net.attach(&b);
@@ -264,7 +256,8 @@ TEST(NetworkTiming, DistinctSendersDoNotInterfere) {
 
 TEST(NetworkTiming, ReceiverCpuSerializesHandlers) {
   Simulator sim;
-  Network net(sim, NetworkProfile{});  // literal zero latency
+  host::FaultPlan faults(nullptr);
+  Network net(sim, NetworkProfile{}, faults);  // literal zero latency
   Recorder a(sim, 0), b(sim, 1);
   b.cost_per_message = 10 * kMillisecond;
   net.attach(&a);
@@ -281,7 +274,8 @@ TEST(NetworkTiming, ReceiverCpuSerializesHandlers) {
 
 TEST(NetworkTiming, SenderCpuDelaysDeparture) {
   Simulator sim;
-  Network net(sim, NetworkProfile{});  // literal zero latency
+  host::FaultPlan faults(nullptr);
+  Network net(sim, NetworkProfile{}, faults);  // literal zero latency
   Recorder a(sim, 0), b(sim, 1);
   net.attach(&a);
   net.attach(&b);
@@ -300,7 +294,8 @@ TEST(NetworkTiming, JitterIsBoundedAndDeterministic) {
     Simulator sim;
     NetworkProfile p;
     p.link.jitter = kMillisecond;
-    Network net(sim, p, seed);
+    host::FaultPlan faults(nullptr);
+    Network net(sim, p, faults, seed);
     Recorder a(sim, 0), b(sim, 1);
     net.attach(&a);
     net.attach(&b);
