@@ -29,6 +29,7 @@ Replica::Replica(host::Host& host, NodeId id, BftConfig config,
   m_.view_changes_started = &metrics_.counter("bft.view_changes_started");
   m_.view_changes_completed = &metrics_.counter("bft.view_changes_completed");
   m_.replays_suppressed = &metrics_.counter("bft.replays_suppressed");
+  m_.replies_sent = &metrics_.counter("bft.replies_sent");
   m_.replies_resent = &metrics_.counter("bft.replies_resent");
   m_.catchups_completed = &metrics_.counter("bft.recovery.catchups_completed");
   m_.wal_replayed = &metrics_.counter("bft.recovery.wal_replayed");
@@ -355,6 +356,8 @@ void Replica::send_reply(NodeId client, uint64_t client_seq, Bytes result) {
   Bytes wire = reply.serialize();
   reply_cache_[client].put(client_seq, wire);
   send_envelope(client, Channel::kReply, wire);
+  // Counted after the send, so whoever reads the count sees the reply sent.
+  m_.replies_sent->inc();
 }
 
 void Replica::send_causal(NodeId to, Bytes body) {

@@ -242,6 +242,7 @@ class Replica final : public host::HostBound<ReplicaContext> {
     obs::Counter* view_changes_started;
     obs::Counter* view_changes_completed;
     obs::Counter* replays_suppressed;
+    obs::Counter* replies_sent;
     obs::Counter* replies_resent;
     obs::Counter* catchups_completed;
     obs::Counter* wal_replayed;

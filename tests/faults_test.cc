@@ -212,19 +212,20 @@ Wire read_wire(Cluster& cluster) {
   return w;
 }
 
-// Runs `ops` requests from client 0, then lets every live replica execute
-// all `executed` requests so far.  Both runtimes then stop at the same
-// protocol state: every message of these requests has been sent, and none
-// more will be.  Returns whether that state was reached.
-bool run_and_settle(Cluster& cluster, int ops, uint64_t executed) {
+// Runs `ops` requests from client 0, then lets every live replica reply to
+// all `replied` requests so far (a causal protocol replies only after its
+// reveal).  Both runtimes then stop at the same protocol state: every
+// message of these requests has been sent, and none more will be.  Returns
+// whether that state was reached.
+bool run_and_settle(Cluster& cluster, int ops, uint64_t replied) {
   for (int i = 0; i < ops; ++i) {
     if (!cluster.run_one(0, to_bytes("op-" + std::to_string(i)))) return false;
   }
   const auto settled = [&] {
     for (uint32_t r = 0; r < cluster.n(); ++r) {
       if (cluster.faults().is_crashed(r)) continue;
-      if (cluster.replica_metrics(r).counter("bft.requests_executed").value() <
-          executed) {
+      if (cluster.replica_metrics(r).counter("bft.replies_sent").value() <
+          replied) {
         return false;
       }
     }
